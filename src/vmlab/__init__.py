@@ -49,8 +49,6 @@ from .maxwell import (  # noqa: F401
     energy,
     flux_identity_lhs,
     good_component_sq,
-    null_cone_flux,
-    interp_bilinear,
     save_field,
     load_field,
 )

@@ -1,5 +1,5 @@
 """Periodic-grid Maxwell solver with sources, constraint monitoring, the
-out-of-plane gauge potential A3, and energy / null-cone flux diagnostics.
+out-of-plane gauge potential A3, and energy / energy-flux diagnostics.
 
 Fields live on a uniform periodic grid over [0, lx) x [0, ly). Both planar
 modes are supported:
@@ -17,7 +17,7 @@ to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "energy",
     "flux_identity_lhs",
     "good_component_sq",
-    "null_cone_flux",
-    "NullConeFluxReport",
     "SpectralWave",
     "save_field",
     "load_field",
@@ -177,8 +175,7 @@ def _cross_khat(khat1, khat2, v):
     ])
 
 
-def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float,
-                 c_cfl: float = 1.0) -> FieldState:
+def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float) -> FieldState:
     """Advance E, B by dt with the current held constant over the step.
 
     Per Fourier mode the curl system dE/dt = ik x B - j, dB/dt = -ik x E is
@@ -186,7 +183,7 @@ def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float,
     constant current enters through the closed-form Duhamel term; the
     longitudinal electric part integrates dE/dt = -j exactly.
 
-    A CFL-style precondition dt <= c_cfl * min(hx, hy) is enforced before
+    A CFL-style precondition dt <= min(hx, hy) is enforced before
     stepping (the propagator itself is unconditionally stable; the check
     guards the particle coupling accuracy).
 
@@ -200,8 +197,8 @@ def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float,
     if sources.grid != g:
         raise ValueError("sources must live on the field grid")
     h = min(g.hx, g.hy)
-    if dt > c_cfl * h * (1.0 + 1e-12):
-        raise ValueError(f"time step dt={dt} violates dt <= {c_cfl}*h = {c_cfl * h}")
+    if dt > h * (1.0 + 1e-12):
+        raise ValueError(f"time step dt={dt} violates dt <= h = {h}")
 
     Ek = _fft2(fields.E)
     Bk = _fft2(fields.B)
@@ -322,7 +319,7 @@ def evolve_a3(gauge: GaugeState, e3_mid: np.ndarray, dt: float) -> GaugeState:
 
 
 # --------------------------------------------------------------------------
-# Energy and null-cone flux
+# Energy and energy flux
 # --------------------------------------------------------------------------
 
 
@@ -376,90 +373,6 @@ def good_component_sq(E, B, omega, mode: str):
     bpwe = B + np.cross(om, E)
     return edotw ** 2 + bdotw ** 2 + np.sum(embx * embx, axis=-1) \
         + np.sum(bpwe * bpwe, axis=-1)
-
-
-def interp_bilinear(grid: Grid, arr: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Periodic bilinear interpolation of grid arrays at positions (..., 2).
-
-    arr has shape (..., nx, ny) with the grid axes last; values are returned
-    with shape arr.shape[:-2] + pos.shape[:-1].
-    """
-    fx = pos[..., 0] / grid.hx
-    fy = pos[..., 1] / grid.hy
-    i0 = np.floor(fx).astype(int)
-    j0 = np.floor(fy).astype(int)
-    tx = fx - i0
-    ty = fy - j0
-    i0 %= grid.nx
-    j0 %= grid.ny
-    i1 = (i0 + 1) % grid.nx
-    j1 = (j0 + 1) % grid.ny
-    return (arr[..., i0, j0] * (1 - tx) * (1 - ty)
-            + arr[..., i1, j0] * tx * (1 - ty)
-            + arr[..., i0, j1] * (1 - tx) * ty
-            + arr[..., i1, j1] * tx * ty)
-
-
-@dataclass
-class NullConeFluxReport:
-    flux_kg: float
-    particle_cone_term: float
-    initial_energy: float
-
-    @property
-    def total(self) -> float:
-        return self.flux_kg + self.particle_cone_term
-
-    @property
-    def margin(self) -> float:
-        """initial_energy - total; nonnegative up to quadrature error when the
-        flux conservation law holds."""
-        return self.initial_energy - self.total
-
-
-def null_cone_flux(times, field_states, vertex_t: float, vertex_x,
-                   moment_grids=None, initial_energy: float = 0.0,
-                   n_theta: int = 128) -> NullConeFluxReport:
-    """Quadrature of the null-cone flux law at a vertex (t, x).
-
-    (1/4) ∫_cone K_g^2 dσ + 4π ∫_cone ∫ p0 (1 + phat.w) f dp dσ,
-    dσ = (t - s) dθ ds in polar cone coordinates.
-
-    ``times``/``field_states`` is the stored field history; ``moment_grids``
-    is an optional matching sequence of (a0, a) grid pairs holding the
-    deposited densities of ∫ p0 f dp and ∫ p0 phat f dp (without the 4π).
-    """
-    times = np.asarray(times, dtype=float)
-    sel = times <= vertex_t + 1e-12
-    if not np.any(sel):
-        raise ValueError("field history does not cover the cone")
-    idx = np.nonzero(sel)[0]
-    x0 = np.asarray(vertex_x, dtype=float)
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    om = np.stack([np.cos(theta), np.sin(theta)], axis=-1)   # (m, 2)
-
-    vals_kg = np.zeros(len(idx))
-    vals_f = np.zeros(len(idx))
-    for out_k, k in enumerate(idx):
-        s = times[k]
-        r = vertex_t - s
-        pts = x0[None, :] + r * om
-        st = field_states[k]
-        Ev = interp_bilinear(st.grid, st.E, pts)   # (3, m)
-        Bv = interp_bilinear(st.grid, st.B, pts)
-        kg2 = good_component_sq(Ev.T, Bv.T, om, st.mode)
-        vals_kg[out_k] = 0.25 * np.sum(kg2) * (2.0 * np.pi / n_theta) * r
-        if moment_grids is not None:
-            a0, avec = moment_grids[k]
-            a0v = interp_bilinear(st.grid, a0, pts)
-            av = interp_bilinear(st.grid, avec, pts)     # (d_p, m)
-            dens = a0v + av[0] * om[:, 0] + av[1] * om[:, 1]
-            vals_f[out_k] = 4.0 * np.pi * np.sum(dens) * (2.0 * np.pi / n_theta) * r
-    ts = times[idx]
-    flux_kg = float(np.trapz(vals_kg, ts)) if len(ts) > 1 else 0.0
-    cone_f = float(np.trapz(vals_f, ts)) if len(ts) > 1 else 0.0
-    return NullConeFluxReport(flux_kg=flux_kg, particle_cone_term=cone_f,
-                              initial_energy=initial_energy)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
     "gather_cic",
     "gather_tsc",
     "gather_tsc_grad",
+    "wrap_box",
     "make_field_sampler",
     "DiagnosticSeries",
     "RunHistory",
@@ -250,20 +251,70 @@ def initial_fields(scn: Scenario, ens: ParticleEnsemble) -> tuple[mx.FieldState,
 # --------------------------------------------------------------------------
 
 
-def _cic_indices(grid: mx.Grid, x: np.ndarray):
-    fx = x[:, 0] / grid.hx
-    fy = x[:, 1] / grid.hy
-    i0 = np.floor(fx).astype(int)
-    j0 = np.floor(fy).astype(int)
-    tx = fx - i0
-    ty = fy - j0
-    i0 %= grid.nx
-    j0 %= grid.ny
-    i1 = (i0 + 1) % grid.nx
-    j1 = (j0 + 1) % grid.ny
-    wts = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
-    idx = ((i0, j0), (i1, j0), (i0, j1), (i1, j1))
-    return idx, wts
+def wrap_box(x: np.ndarray, box) -> np.ndarray:
+    """Periodic wrap of positions into [0, box).
+
+    ``x % box`` alone rounds a tiny negative coordinate up to exactly
+    ``box`` (``-1e-17 % 20.0 == 20.0``); such values are mapped to 0.
+    """
+    y = np.mod(x, box)
+    return np.where(y >= box, 0.0, y)
+
+
+def _stencil(grid: mx.Grid, x: np.ndarray, tsc: bool = False):
+    """Particle-grid shape function at positions x (n, 2): flat periodic node
+    indices ``i*ny + j`` and weights, each of shape (k, n).
+
+    The shape is the tensor product of 1D B-splines (Birdsall & Langdon):
+    linear for CIC (k = 4 nodes), quadratic for TSC (k = 9, the three nodes
+    around the nearest one per axis). Returns ``(idx, w, wdx, wdy)``; for
+    TSC ``wdx``/``wdy`` weigh the exact d/dx and d/dy of the interpolant,
+    for CIC they are None.
+    """
+    axes = []
+    for c, (n, h) in enumerate(((grid.nx, grid.hx), (grid.ny, grid.hy))):
+        f = x[:, c] / h
+        if tsc:
+            i0 = np.rint(f)
+            t = f - i0                   # signed offset from the nearest node
+            w = (0.5 * (0.5 - t) ** 2, 0.75 - t * t, 0.5 * (0.5 + t) ** 2)
+            d = np.stack([t - 0.5, -2.0 * t, t + 0.5]) / h
+            i0 -= 1                      # leftmost of the three nodes
+        else:
+            i0 = np.floor(f)
+            t = f - i0
+            w = (1.0 - t, t)
+            d = None
+        idx = (i0.astype(np.intp) + np.arange(len(w))[:, None]) % n
+        axes.append((idx, np.stack(w), d))
+    (ix, wx, dx), (iy, wy, dy) = axes
+    k = len(ix) * len(iy)
+
+    def outer(a, b):
+        return (a[:, None] * b[None, :]).reshape(k, -1)
+
+    idx = (ix[:, None] * grid.ny + iy[None, :]).reshape(k, -1)
+    if not tsc:
+        return idx, outer(wx, wy), None, None
+    return idx, outer(wx, wy), outer(dx, wy), outer(wx, dy)
+
+
+def _gather(arr: np.ndarray, idx: np.ndarray, *weights) -> list:
+    """Stencil sums of grid arrays (..., nx, ny) over the nodes idx (k, n):
+    one (..., n) result per weight array (k, n). Node by node, so no
+    (k, n, ...) temporary is held."""
+    flat = np.moveaxis(arr.reshape(arr.shape[:-2] + (-1,)), -1, 0)
+    shape = (-1,) + (1,) * (arr.ndim - 2)
+    sums = None
+    for i in range(len(idx)):
+        v = flat.take(idx[i], axis=0)                  # (n, ...)
+        terms = [v * w[i].reshape(shape) for w in weights]
+        if sums is None:
+            sums = terms
+        else:
+            for acc, term in zip(sums, terms):
+                acc += term
+    return [np.moveaxis(acc, 0, -1) for acc in sums]
 
 
 def deposit(ens: ParticleEnsemble, grid: mx.Grid) -> mx.SourceDensities:
@@ -272,92 +323,41 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid) -> mx.SourceDensities:
     if len(ens) and (np.any(ens.x < 0) or np.any(ens.x[:, 0] >= grid.lx)
                      or np.any(ens.x[:, 1] >= grid.ly)):
         raise ValueError("particle outside the periodic box")
-    rho = np.zeros((grid.nx, grid.ny))
-    j = np.zeros((3, grid.nx, grid.ny))
+    size = grid.nx * grid.ny
+    rho = np.zeros(size)
+    j = np.zeros((3, size))
     if len(ens):
-        idx, wts = _cic_indices(grid, ens.x)
+        idx, q, _, _ = _stencil(grid, ens.x)
+        idx = idx.ravel()
+        q *= 4.0 * np.pi / grid.cell * ens.w
+        rho = np.bincount(idx, weights=q.ravel(), minlength=size)
         phat = ens.phat
-        scale = 4.0 * np.pi / grid.cell
-        for (ii, jj), wt in zip(idx, wts):
-            np.add.at(rho, (ii, jj), scale * ens.w * wt)
-            for c in range(ens.dim_p):
-                np.add.at(j[c], (ii, jj), scale * ens.w * wt * phat[:, c])
-    return mx.SourceDensities(grid=grid, rho=rho, j=j)
-
-
-def deposit_energy_moments(ens: ParticleEnsemble, grid: mx.Grid):
-    """CIC deposition of the kinetic energy-flux densities integral(p0 f dp)
-    and integral(p0 phat f dp) (without the 4*pi), as used by the null-cone
-    flux quadrature. Returns (a0, a) with shapes (nx, ny) and (2, nx, ny)."""
-    a0 = np.zeros((grid.nx, grid.ny))
-    a = np.zeros((2, grid.nx, grid.ny))
-    if len(ens):
-        idx, wts = _cic_indices(grid, ens.x)
-        p0 = ens.p0
-        phat = ens.phat
-        wp0 = ens.w * p0 / grid.cell
-        for (ii, jj), wt in zip(idx, wts):
-            np.add.at(a0, (ii, jj), wp0 * wt)
-            for c in range(2):
-                np.add.at(a[c], (ii, jj), wp0 * wt * phat[:, c])
-    return a0, a
+        qc = np.empty_like(q)
+        for c in range(ens.dim_p):
+            np.multiply(q, phat[:, c], out=qc)
+            j[c] = np.bincount(idx, weights=qc.ravel(), minlength=size)
+    return mx.SourceDensities(grid=grid, rho=rho.reshape(grid.nx, grid.ny),
+                              j=j.reshape(3, grid.nx, grid.ny))
 
 
 def gather_cic(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bilinear (CIC) gather of grid arrays (..., nx, ny) at positions (n, 2)."""
-    return mx.interp_bilinear(grid, arr, x)
-
-
-def _tsc_1d(frac: np.ndarray):
-    """Quadratic B-spline weights and their derivatives at offsets -1, 0, +1
-    from the nearest node; ``frac`` in [-1/2, 1/2) is the signed distance to
-    that node in cell units."""
-    wm = 0.5 * (0.5 - frac) ** 2
-    w0 = 0.75 - frac ** 2
-    wp = 0.5 * (0.5 + frac) ** 2
-    dm = frac - 0.5
-    d0 = -2.0 * frac
-    dp = frac + 0.5
-    return (wm, w0, wp), (dm, d0, dp)
-
-
-def _tsc_setup(grid: mx.Grid, x: np.ndarray):
-    fx = x[:, 0] / grid.hx
-    fy = x[:, 1] / grid.hy
-    i0 = np.rint(fx).astype(int)
-    j0 = np.rint(fy).astype(int)
-    (wxm, wx0, wxp), (dxm, dx0, dxp) = _tsc_1d(fx - i0)
-    (wym, wy0, wyp), (dym, dy0, dyp) = _tsc_1d(fy - j0)
-    ii = [(i0 - 1) % grid.nx, i0 % grid.nx, (i0 + 1) % grid.nx]
-    jj = [(j0 - 1) % grid.ny, j0 % grid.ny, (j0 + 1) % grid.ny]
-    return ii, jj, (wxm, wx0, wxp), (wym, wy0, wyp), (dxm, dx0, dxp), (dym, dy0, dyp)
+    """Bilinear (CIC) gather of grid arrays (..., nx, ny) at positions (n, 2),
+    with the stencil of ``deposit``; returns (..., n)."""
+    idx, w, _, _ = _stencil(grid, x)
+    return _gather(arr, idx, w)[0]
 
 
 def gather_tsc(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Quadratic-spline gather of grid arrays (..., nx, ny) at positions (n, 2)."""
-    ii, jj, wx, wy, _, _ = _tsc_setup(grid, x)
-    out = 0.0
-    for a in range(3):
-        for b in range(3):
-            out = out + arr[..., ii[a], jj[b]] * (wx[a] * wy[b])
-    return out
+    idx, w, _, _ = _stencil(grid, x, tsc=True)
+    return _gather(arr, idx, w)[0]
 
 
 def gather_tsc_grad(grid: mx.Grid, arr: np.ndarray, x: np.ndarray):
-    """Quadratic-spline gather returning (values, gradient (n, 2)) — the exact
-    spatial gradient of the interpolant, not a finite difference."""
-    ii, jj, wx, wy, dx, dy = _tsc_setup(grid, x)
-    val = 0.0
-    gx = 0.0
-    gy = 0.0
-    for a in range(3):
-        for b in range(3):
-            v = arr[..., ii[a], jj[b]]
-            val = val + v * (wx[a] * wy[b])
-            gx = gx + v * (dx[a] * wy[b])
-            gy = gy + v * (wx[a] * dy[b])
-    grad = np.stack([gx / grid.hx, gy / grid.hy], axis=-1)
-    return val, grad
+    """Quadratic-spline gather returning (values (..., n), gradient (..., n, 2))
+    — the exact spatial gradient of the interpolant, not a finite difference."""
+    val, gx, gy = _gather(arr, *_stencil(grid, x, tsc=True))
+    return val, np.stack([gx, gy], axis=-1)
 
 
 def make_field_sampler(fields: mx.FieldState, gauge: mx.GaugeState | None = None):
@@ -369,21 +369,26 @@ def make_field_sampler(fields: mx.FieldState, gauge: mx.GaugeState | None = None
     """
     grid = fields.grid
     if fields.mode == "2d":
+        live = np.stack([fields.E[0], fields.E[1], fields.B[2]])
+
         def sampler(t, x):
             xs = x.reshape(-1, 2)
-            E = gather_cic(grid, fields.E, xs).T
-            B = gather_cic(grid, fields.B, xs).T
+            e1, e2, b3 = gather_cic(grid, live, xs)
+            zero = np.zeros_like(b3)
+            E = np.stack([e1, e2, zero], axis=-1)
+            B = np.stack([zero, zero, b3], axis=-1)
             return (E.reshape(x.shape[:-1] + (3,)),
                     B.reshape(x.shape[:-1] + (3,)))
         return sampler
     if gauge is None:
         raise ValueError("3-momentum mode requires the gauge state")
+    e_b3 = np.concatenate([fields.E, fields.B[2:]])
 
     def sampler(t, x):
         xs = x.reshape(-1, 2)
-        E = gather_tsc(grid, fields.E, xs).T
-        b3 = gather_tsc(grid, fields.B[2], xs)
+        e1, e2, e3, b3 = gather_tsc(grid, e_b3, xs)
         _, grad_a3 = gather_tsc_grad(grid, gauge.a3, xs)
+        E = np.stack([e1, e2, e3], axis=-1)
         B = np.stack([grad_a3[:, 1], -grad_a3[:, 0], b3], axis=-1)
         return (E.reshape(x.shape[:-1] + (3,)),
                 B.reshape(x.shape[:-1] + (3,)))
@@ -432,18 +437,14 @@ class RunHistory:
     part_x: list = field(default_factory=list)       # (n, 2) per step
     part_p: list = field(default_factory=list)       # (n, d_p) per step
     w: np.ndarray | None = None
-    gauges: list = field(default_factory=list)       # GaugeState per step (3-mom.)
 
-    def record(self, t, fields, ens, gauge=None):
+    def record(self, t, fields, ens):
         self.times.append(float(t))
         self.fields.append(fields.copy())
         self.part_x.append(ens.x.copy())
         self.part_p.append(ens.p.copy())
         if self.w is None:
             self.w = ens.w.copy()
-        if gauge is not None:
-            self.gauges.append(mx.GaugeState(grid=gauge.grid, a3=gauge.a3.copy(),
-                                             time=gauge.time))
 
     def save_npz(self, path) -> None:
         np.savez_compressed(
@@ -550,27 +551,22 @@ def run(scn: Scenario) -> RunResult:
     n_steps = int(round(scn.t_final / scn.dt))
     history = RunHistory(mode=scn.mode, grid=grid) if scn.store_history else None
 
-    n_tr = min(scn.n_tracers, len(ens))
+    n_tr = min(scn.n_tracers, len(ens)) if gauge is not None else 0
     tracer_rows = []
-    inv0 = None
 
     def tracer_invariant():
-        if n_tr == 0 or gauge is None:
-            return np.zeros(0)
         a3 = gather_tsc(grid, gauge.a3, ens.x[:n_tr])
         return ens.p[:n_tr, 2] + a3
 
     rows = []
     t = 0.0
     src = deposit(ens, grid)
-    if inv0 is None and n_tr and gauge is not None:
+    if n_tr:
         inv0 = tracer_invariant()
+        tracer_rows.append(inv0)
     if history is not None:
-        history.record(t, fields, ens, gauge)
-    drift0 = 0.0 if inv0 is None or inv0.size == 0 else 0.0
-    rows.append(_diag_row(t, fields, ens, src, scn, drift0, dim_p))
-    if inv0 is not None and inv0.size:
-        tracer_rows.append(inv0.copy())
+        history.record(t, fields, ens)
+    rows.append(_diag_row(t, fields, ens, src, scn, 0.0, dim_p))
     e0 = mx.energy(fields, ens)
 
     for step in range(n_steps):
@@ -584,7 +580,7 @@ def run(scn: Scenario) -> RunResult:
             gauge_half = None
         sampler = make_field_sampler(fields_half, gauge_half)
         xn, pn = chars.push_many(ens.x, ens.p, sampler, t, scn.dt)
-        xn %= box
+        xn = wrap_box(xn, box)
         ens = ParticleEnsemble(dim_p=dim_p, x=xn, p=pn, w=ens.w, box=box)
         # half field step with the current at t + dt
         src = deposit(ens, grid)
@@ -607,14 +603,13 @@ def run(scn: Scenario) -> RunResult:
             raise FloatingPointError(f"non-finite state at t={t}")
 
         if history is not None:
-            history.record(t, fields, ens, gauge)
+            history.record(t, fields, ens)
         if (step + 1) % scn.diagnostic_every == 0 or step == n_steps - 1:
-            if inv0 is not None and inv0.size:
+            drift = 0.0
+            if n_tr:
                 inv = tracer_invariant()
-                tracer_rows.append(inv.copy())
+                tracer_rows.append(inv)
                 drift = float(np.abs(inv - inv0).max())
-            else:
-                drift = 0.0
             rows.append(_diag_row(t, fields, ens, src, scn, drift, dim_p))
 
     series = DiagnosticSeries(columns=_columns(scn), data=np.asarray(rows))

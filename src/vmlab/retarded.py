@@ -475,7 +475,7 @@ def _free_positions(history: "pic.RunHistory", k: int, box: np.ndarray):
     phat = (p3 / np.sqrt(1.0 + np.sum(p3 * p3, axis=1))[:, None])[:, :2]
     out = []
     for j in range(k + 1):
-        out.append((x0 + history.times[j] * phat) % box)
+        out.append(pic.wrap_box(x0 + history.times[j] * phat, box))
     return out
 
 
@@ -502,14 +502,17 @@ def _free_field_rerun(history: "pic.RunHistory", k: int, free_x, w):
     return fields
 
 
+def _gather_eb(st: mx.FieldState, xs: np.ndarray):
+    """CIC gather of E and B at positions (n, 2) in one call: two (n, 3)."""
+    eb = pic.gather_cic(st.grid, np.concatenate([st.E, st.B]), xs).T
+    return eb[:, :3], eb[:, 3:]
+
+
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
-    k = _history_index(history, t)
-    st = history.fields[k]
-    xs = np.asarray(x, dtype=float).reshape(1, 2)
-    E = pic.gather_cic(st.grid, st.E, xs)[:, 0]
-    B = pic.gather_cic(st.grid, st.B, xs)[:, 0]
-    return E, B
+    st = history.fields[_history_index(history, t)]
+    E, B = _gather_eb(st, np.asarray(x, dtype=float).reshape(1, 2))
+    return E[0], B[0]
 
 
 @dataclass
@@ -588,8 +591,7 @@ def field_from_representation(history: "pic.RunHistory", t: float, x,
         X = history.part_x[j]
         P = history.part_p[j]
         st = history.fields[j]
-        E = pic.gather_cic(grid, st.E, X).T     # (n, 3)
-        B = pic.gather_cic(grid, st.B, X).T
+        E, B = _gather_eb(st, X)
         p3 = _embed3(P)
         p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
         phat = p3 / p0[:, None]
@@ -604,12 +606,10 @@ def field_from_representation(history: "pic.RunHistory", t: float, x,
         free_sums.add_step(free_x[j], history.part_p[0], w, probe, box,
                            tau_lo, tau_hi, s_terms=False)
 
-    xs = probe.reshape(1, 2)
-    g_E = pic.gather_cic(grid, g_fields.E, xs)[:, 0]
-    g_B = pic.gather_cic(grid, g_fields.B, xs)[:, 0]
+    g_E, g_B = _gather_eb(g_fields, probe.reshape(1, 2))
     return RepresentationReport(
         t=t, x=probe,
-        data_E=g_E - free_sums.E_T, data_B=g_B - free_sums.B_T,
+        data_E=g_E[0] - free_sums.E_T, data_B=g_B[0] - free_sums.B_T,
         E_T=sums.E_T, B_T=sums.B_T, E_S=sums.E_S, B_S=sums.B_S,
         ks1_bound=sums.ks1, ks2_bound=sums.ks2)
 

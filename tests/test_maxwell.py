@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmlab import maxwell as mx
+from vmlab import pic
 
 
 def _grid(n=32, box=10.0):
@@ -235,19 +236,25 @@ class TestFluxIdentity:
 
 
 class TestInterp:
+    """The CIC gather that the PIC loop and the field comparison use."""
+
     def test_exact_on_linear_data_nodes(self):
         g = _grid(8, 8.0)
         arr = np.arange(64, dtype=float).reshape(8, 8)
         pos = np.array([[2.0, 3.0], [5.0, 1.0]])
-        vals = mx.interp_bilinear(g, arr, pos)
+        vals = pic.gather_cic(g, arr, pos)
         assert vals[0] == arr[2, 3]
         assert vals[1] == arr[5, 1]
+        # between nodes (away from the periodic seam) linear data is exact
+        pos = np.random.default_rng(2).random((50, 2)) * 7.0
+        vals = pic.gather_cic(g, arr, pos)
+        assert np.abs(vals - (8.0 * pos[:, 0] + pos[:, 1])).max() < 1e-12
 
     def test_periodic_wrap(self):
         g = _grid(4, 4.0)
         arr = np.zeros((4, 4))
         arr[0, 0] = 1.0
-        v = mx.interp_bilinear(g, arr, np.array([[3.5, 0.0]]))
+        v = pic.gather_cic(g, arr, np.array([[3.5, 0.0]]))
         assert v[0] == pytest.approx(0.5)
 
 

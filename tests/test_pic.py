@@ -121,13 +121,29 @@ class TestDeposit:
         with pytest.raises(ValueError):
             pic.deposit(ens, g)
 
-    def test_energy_moment_totals(self):
-        scn = pic.scenario_from_dict(small_cfg(), path="inline")
-        ens = pic.sample_ensemble(scn)
-        a0, a = pic.deposit_energy_moments(ens, scn.grid)
-        assert np.sum(a0) * scn.grid.cell == pytest.approx(
-            float(np.sum(ens.w * ens.p0)), rel=1e-12)
-        assert a.shape == (2, scn.grid.nx, scn.grid.ny)
+    def test_deposit_is_adjoint_of_gather(self):
+        # one stencil serves both: sum(rho * arr) * cell = 4 pi sum(w * arr(x)),
+        # and likewise for each current component with weights w * phat
+        g = mx.Grid(16, 12, 8.0, 6.0)
+        rng = np.random.default_rng(4)
+        n = 400
+        ens = ParticleEnsemble(dim_p=3, x=rng.random((n, 2)) * [8.0, 6.0],
+                               p=rng.standard_normal((n, 3)),
+                               w=rng.random(n) + 0.1, box=[8.0, 6.0])
+        arr = rng.standard_normal((g.nx, g.ny))
+        src = pic.deposit(ens, g)
+        at_x = 4.0 * np.pi * pic.gather_cic(g, arr, ens.x)
+        assert np.sum(src.rho * arr) * g.cell == pytest.approx(
+            np.sum(ens.w * at_x), rel=1e-12)
+        for c in range(3):
+            assert np.sum(src.j[c] * arr) * g.cell == pytest.approx(
+                np.sum(ens.w * ens.phat[:, c] * at_x), rel=1e-12)
+
+    def test_wrap_box_stays_below_box(self):
+        # -1e-17 % 20.0 rounds up to exactly 20.0, outside [0, box)
+        box = np.array([20.0, 20.0])
+        x = pic.wrap_box(np.array([[-1e-17, 5.0], [25.0, -3.0]]), box)
+        assert np.array_equal(x, [[0.0, 5.0], [5.0, 17.0]])
 
 
 class TestGather:
@@ -136,24 +152,30 @@ class TestGather:
         arr = np.full((16, 16), 3.5)
         pos = np.random.default_rng(0).random((50, 2)) * 8.0
         assert np.abs(pic.gather_tsc(g, arr, pos) - 3.5).max() < 1e-13
+        # the quadratic spline also reproduces linear data and its slope
+        # wherever its three nodes per axis stay off the periodic seam
+        x, y = g.mesh()
+        pos = 1.0 + np.random.default_rng(1).random((50, 2)) * 5.5
+        val, grad = pic.gather_tsc_grad(g, 2.0 * x - 3.0 * y, pos)
+        assert np.abs(val - (2.0 * pos[:, 0] - 3.0 * pos[:, 1])).max() < 1e-12
+        assert np.abs(grad - [2.0, -3.0]).max() < 1e-12
 
     def test_tsc_gradient_of_smooth_field(self):
         g = mx.Grid(64, 64, 2.0 * np.pi, 2.0 * np.pi)
         x, y = g.mesh()
         arr = np.sin(x) * np.cos(2 * y)
         pos = np.random.default_rng(1).random((200, 2)) * 2.0 * np.pi
-        _, grad = pic.gather_tsc_grad(g, arr, pos)
+        val, grad = pic.gather_tsc_grad(g, arr, pos)
         exact = np.stack([np.cos(pos[:, 0]) * np.cos(2 * pos[:, 1]),
                           -2 * np.sin(pos[:, 0]) * np.sin(2 * pos[:, 1])],
                          axis=-1)
         assert np.abs(grad - exact).max() < 2e-2
-
-    def test_cic_matches_bilinear(self):
-        g = mx.Grid(8, 8, 4.0, 4.0)
-        arr = np.random.default_rng(2).random((8, 8))
-        pos = np.random.default_rng(3).random((20, 2)) * 4.0
-        assert np.array_equal(pic.gather_cic(g, arr, pos),
-                              mx.interp_bilinear(g, arr, pos))
+        # a stacked (k, nx, ny) array gives each component's gather
+        vals, grads = pic.gather_tsc_grad(g, np.stack([arr, -2.0 * arr]), pos)
+        assert vals.shape == (2, 200) and grads.shape == (2, 200, 2)
+        assert np.allclose(vals[0], val, rtol=0, atol=1e-14)
+        assert np.allclose(grads[0], grad, rtol=0, atol=1e-12)
+        assert np.abs(grads[1] + 2.0 * exact).max() < 4e-2
 
 
 class TestRun:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from vmlab import maxwell as mx
 from vmlab import pic
 from vmlab import retarded as rt
 from vmlab.inequalities import SamplerConfig, sample_momenta_xi
@@ -215,6 +216,20 @@ class TestRepresentation:
                                         rel=1e-12)
         assert rep.rhs > 0.0
         assert math.isfinite(rep.ratio)
+
+    def test_free_flow_wraps_tiny_negative_position(self):
+        # a particle at rest at x = -1e-17: the plain remainder wraps it to
+        # exactly the box length, which the force-free deposit rejects
+        grid = mx.Grid(16, 16, 20.0, 20.0)
+        h = pic.RunHistory(mode="2d", grid=grid)
+        x0 = np.array([[-1e-17, 5.0], [10.0, 10.0]])
+        h.times = [0.0, 0.05]
+        h.fields = [mx.FieldState.zeros("2d", grid, time=t) for t in h.times]
+        h.part_x = [x0, x0]
+        h.part_p = [np.array([[0.0, 0.0], [0.3, 0.0]])] * 2
+        h.w = np.full(2, 0.01)
+        rep = rt.field_from_representation(h, 0.05, (10.01, 10.0))
+        assert np.all(np.isfinite(rep.total_E))
 
     def test_epsilon_split_eps_validation(self):
         h = _history(t_final=0.3)
