@@ -248,6 +248,32 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _finite_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _probe_points(probes) -> list:
+    """(t, x) of each probe record; raises ValueError naming the bad record
+    and key."""
+    if not isinstance(probes, list):
+        raise ValueError("probes file must hold a JSON list of {t, x} records")
+    out = []
+    for i, pr in enumerate(probes):
+        if not isinstance(pr, dict):
+            raise ValueError(f"probe {i}: must be an object with keys t and x")
+        if not _finite_number(pr.get("t")):
+            raise ValueError(f"probe {i}: t must be a finite number, "
+                             f"got {pr.get('t')!r}")
+        x = pr.get("x")
+        if not (isinstance(x, list) and len(x) == 2
+                and all(map(_finite_number, x))):
+            raise ValueError(f"probe {i}: x must be a list of 2 finite "
+                             f"numbers, got {x!r}")
+        out.append((float(pr["t"]), [float(v) for v in x]))
+    return out
+
+
 def cmd_fields_compare(args) -> int:
     hist_path = os.path.join(args.rundir, "history.npz")
     if not os.path.exists(hist_path):
@@ -256,27 +282,39 @@ def cmd_fields_compare(args) -> int:
     if not os.path.exists(args.probes):
         print(f"error: probes file {args.probes} not found", file=sys.stderr)
         return EXIT_MISSING
+    try:
+        with open(args.probes) as fh:
+            probes = _probe_points(json.load(fh))
+    except ValueError as exc:
+        print(f"error: {args.probes}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     history = pic.RunHistory.load_npz(hist_path)
-    with open(args.probes) as fh:
-        probes = json.load(fh)
-    if not isinstance(probes, list):
-        print("error: probes file must hold a JSON list of {t, x} records",
-              file=sys.stderr)
+
+    # Probes sharing a t are reconstructed in one call.
+    t_max = max(history.times)
+    by_t = {}
+    for i, (t, _) in enumerate(probes):
+        if 0 <= t <= t_max + 1e-9:
+            by_t.setdefault(t, []).append(i)
+    reports = {}
+    try:
+        for t, rows in by_t.items():
+            reps = retarded.field_from_representation(
+                history, t, [probes[i][1] for i in rows])
+            reports.update(zip(rows, reps))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     records = []
-    cache = {}
     err_sq = 0.0
     ref_sq = 0.0
-    t_max = max(history.times)
-    for pr in probes:
-        t = float(pr["t"])
-        x = [float(v) for v in pr["x"]]
-        if t > t_max + 1e-9 or t < 0:
+    for i, (t, x) in enumerate(probes):
+        if i not in reports:
             records.append({"t": t, "x": x,
                             "warning": "probe time outside stored history"})
             continue
-        rep = retarded.field_from_representation(history, t, x, _cache=cache)
+        rep = reports[i]
         gE, gB = retarded.grid_field_at(history, t, x)
         rec = rep.to_dict()
         rec["grid_E"] = list(map(float, gE))

@@ -461,18 +461,20 @@ class RunHistory:
 
     @classmethod
     def load_npz(cls, path) -> "RunHistory":
-        z = np.load(path)
-        g = z["grid"]
+        # Each z[key] decompresses the whole stack again, so every array is
+        # read once and the stored steps are views into it.
+        with np.load(path) as z:
+            g, mode, times, w, E, B, X, P = (
+                z[key] for key in ("grid", "mode", "times", "w", "E", "B",
+                                   "part_x", "part_p"))
         grid = mx.Grid(nx=int(g[0]), ny=int(g[1]), lx=float(g[2]), ly=float(g[3]))
-        mode = str(z["mode"])
-        hist = cls(mode=mode, grid=grid)
-        hist.times = [float(t) for t in z["times"]]
-        for k, t in enumerate(hist.times):
-            hist.fields.append(mx.FieldState(mode=mode, grid=grid, E=z["E"][k],
-                                             B=z["B"][k], time=t))
-            hist.part_x.append(z["part_x"][k])
-            hist.part_p.append(z["part_p"][k])
-        hist.w = z["w"]
+        mode = str(mode)
+        hist = cls(mode=mode, grid=grid, w=w)
+        hist.times = [float(t) for t in times]
+        hist.fields = [mx.FieldState(mode=mode, grid=grid, E=E[k], B=B[k], time=t)
+                       for k, t in enumerate(hist.times)]
+        hist.part_x = list(X)
+        hist.part_p = list(P)
         return hist
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -384,12 +385,49 @@ def _cone_slabs(times, t: float):
     return out
 
 
+class _ConeRows(NamedTuple):
+    """The rows of one stored step inside a slab of a probe's backward cone."""
+
+    idx: np.ndarray     # (h,) row indices into the step's particle arrays
+    d: np.ndarray       # (h, 2) minimum-image offsets y - x
+    r: np.ndarray       # (h,) distances |y - x|
+    w1: np.ndarray      # (h,) slab weights of the two cone measures
+    w2: np.ndarray
+    xi: np.ndarray      # (h, 2) d over the slab's mid tau, clipped to |xi| <= 1
+
+
+def _cone_rows(X, t: float, probe, box, tau_lo: float, tau_hi: float) -> _ConeRows:
+    """Rows of positions X (n, 2) inside the cone of the probe (t, x) over
+    the slab tau in [tau_lo, tau_hi]: those with r < tau_hi, where both slab
+    weights are positive (beyond it both are 0). Every later per-particle
+    step works on these rows only.
+
+    A particle within 1e-12 of the probe in the newest slab (tau_lo = 0) is
+    rejected: the point-particle T integral diverges like 1/r there.
+    """
+    d = _min_image(X - probe[None, :], box)
+    r = np.sqrt(np.sum(d * d, axis=1))
+    idx = np.flatnonzero(r < tau_hi)
+    d = d[idx]
+    r = r[idx]
+    if tau_lo <= 0.0 and np.any(r < 1e-12):
+        raise ValueError(f"probe t={t} x={probe.tolist()} sits on a particle; "
+                         "its cone integral diverges there")
+    w1, w2 = slab_weights(r, tau_lo, tau_hi)
+    denom = np.maximum(0.5 * (tau_lo + tau_hi), np.maximum(r, 1e-300))
+    xi = d / denom[:, None]
+    nrm = np.sqrt(np.sum(xi * xi, axis=1))
+    over = nrm > 1.0
+    if np.any(over):
+        xi[over] /= nrm[over, None]
+    return _ConeRows(idx, d, r, w1, w2, xi)
+
+
 class _ConeSums:
     """Accumulates all particle cone sums at a probe in one history pass."""
 
-    def __init__(self, mode: str, dim_p: int):
+    def __init__(self, mode: str):
         self.mode = mode
-        self.dim_p = dim_p
         self.E_T = np.zeros(3)
         self.B_T = np.zeros(3)
         self.E_S = np.zeros(3)
@@ -397,54 +435,32 @@ class _ConeSums:
         self.ks1 = 0.0
         self.ks2 = 0.0
 
-    def add_step(self, X, P, w, probe, box, tau_lo, tau_hi, force=None,
-                 kg=None, t_terms=True, s_terms=True):
-        d = _min_image(X - probe[None, :], box)
-        r = np.sqrt(np.sum(d * d, axis=1))
-        w1, w2 = slab_weights(r, tau_lo, tau_hi)
-        mask = w1 > 0
-        if not np.any(mask):
-            return
-        d = d[mask]
-        r = r[mask]
-        w1 = w1[mask]
-        w2 = w2[mask]
-        wp = w[mask]
-        P = P[mask]
-        tau_mid = 0.5 * (tau_lo + tau_hi)
-        denom = np.maximum(tau_mid, np.maximum(r, 1e-300))
-        xi = d / denom[:, None]
-        nrm = np.sqrt(np.sum(xi * xi, axis=1))
-        over = nrm > 1.0
-        if np.any(over):
-            xi[over] /= nrm[over, None]
-
+    def add_step(self, c: _ConeRows, P, wp, force=None, kg=None):
+        """Add one slab's cone rows ``c``; P, wp, force and kg hold those
+        rows only. Without ``force`` only the T sums are taken."""
+        w1, w2, xi = c.w1, c.w2, c.xi
         p3 = _embed3(P)
         p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
         kappa = (p3[:, 0] * xi[:, 0] + p3[:, 1] * xi[:, 1]) / p0
 
         if self.mode == "2d":
             eT, bT, es, bs = kernel_arrays_2d(P, xi)
-            if t_terms:
-                self.E_T[:2] += np.sum((wp * w1)[:, None] * eT, axis=0)
-                self.B_T[2] += float(np.sum(wp * w1 * bT))
-            if s_terms and force is not None:
-                K = force[mask][:, :2]
+            self.E_T[:2] += np.sum((wp * w1)[:, None] * eT, axis=0)
+            self.B_T[2] += float(np.sum(wp * w1 * bT))
+            if force is not None:
+                K = force[:, :2]
                 self.E_S[:2] += np.sum(
                     (wp * w2)[:, None] * np.einsum("nij,nj->ni", es, K), axis=0)
                 self.B_S[2] += float(np.sum(wp * w2 * np.sum(bs * K, axis=1)))
-                kmag = np.sqrt(np.sum(force[mask] ** 2, axis=1))
+                kmag = np.sqrt(np.sum(force ** 2, axis=1))
                 self.ks1 += float(np.sum(wp * w2 * kmag / p0))
-                if kg is not None:
-                    self.ks2 += float(np.sum(
-                        wp * w2 * kg[mask] / ((1.0 + kappa) * p0)))
+                self.ks2 += float(np.sum(wp * w2 * kg / ((1.0 + kappa) * p0)))
         else:
             eT, bT, _, _, deS, dbS = kernel_arrays_25d(P, xi)
-            if t_terms:
-                self.E_T += np.sum((wp * w1)[:, None] * eT, axis=0)
-                self.B_T += np.sum((wp * w1)[:, None] * bT, axis=0)
-            if s_terms and force is not None:
-                K = force[mask]
+            self.E_T += np.sum((wp * w1)[:, None] * eT, axis=0)
+            self.B_T += np.sum((wp * w1)[:, None] * bT, axis=0)
+            if force is not None:
+                K = force
                 self.E_S += np.sum(
                     (wp * w2)[:, None] * np.einsum("nij,nj->ni", deS, K), axis=0)
                 self.B_S += np.sum(
@@ -453,9 +469,8 @@ class _ConeSums:
                 kmag = np.sqrt(np.sum(K ** 2, axis=1))
                 self.ks1 += float(np.sum(
                     wp * w2 * kmag * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa)))))
-                if kg is not None:
-                    self.ks2 += float(np.sum(
-                        wp * w2 * kg[mask] * bp3 / ((1.0 + kappa) * p0)))
+                self.ks2 += float(np.sum(
+                    wp * w2 * kg * bp3 / ((1.0 + kappa) * p0)))
 
 
 def _history_index(history: "pic.RunHistory", t: float) -> int:
@@ -551,8 +566,7 @@ class RepresentationReport:
         }
 
 
-def field_from_representation(history: "pic.RunHistory", t: float, x,
-                              _cache: dict | None = None) -> RepresentationReport:
+def field_from_representation(history: "pic.RunHistory", t: float, x):
     """Reconstruct (E, B) at the probe (t, x) from the recorded history.
 
     The data term is built without a closed form for the free-wave part of
@@ -563,48 +577,49 @@ def field_from_representation(history: "pic.RunHistory", t: float, x,
     isolates the contribution determined purely by the initial data, with
     the particle-discretization error cancelling between the two T sums.
 
-    ``_cache`` (optional dict, reused across probes of the same (history, t))
-    stores the free trajectories and the re-run fields.
+    ``x`` is one probe point (2,), which gives one report, or a stack (m, 2)
+    of probes at the same t, which gives a list of m reports; the force-free
+    flow and its grid re-run are built once for the stack. Raises
+    ``ValueError`` when a probe sits on a particle (see ``_cone_rows``).
     """
+    probes = np.asarray(x, dtype=float)
+    if probes.ndim not in (1, 2) or probes.shape[-1] != 2:
+        raise ValueError(f"x must have shape (2,) or (m, 2), got {probes.shape}")
     k = _history_index(history, t)
-    grid = history.grid
-    box = np.array([grid.lx, grid.ly])
-    probe = np.asarray(x, dtype=float)
+    box = np.array([history.grid.lx, history.grid.ly])
+    free_x = _free_positions(history, k, box)
+    g_fields = _free_field_rerun(history, k, free_x, history.w)
+    slabs = _cone_slabs(history.times, t)
+    reports = [_probe_report(history, t, probe, box, slabs, free_x, g_fields)
+               for probe in probes.reshape(-1, 2)]
+    return reports[0] if probes.ndim == 1 else reports
+
+
+def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
+    """One probe of ``field_from_representation``: the cone sums of the
+    interacting and the force-free flow over the slabs, on cone rows only."""
     mode = history.mode
     dim_p = history.part_p[0].shape[1]
     w = history.w
-
-    if _cache is None:
-        _cache = {}
-    if _cache.get("k") != k:
-        free_x = _free_positions(history, k, box)
-        _cache.clear()
-        _cache.update(k=k, free_x=free_x,
-                      g_fields=_free_field_rerun(history, k, free_x, w))
-    free_x = _cache["free_x"]
-    g_fields = _cache["g_fields"]
-
-    slabs = _cone_slabs(history.times, t)
-    sums = _ConeSums(mode, dim_p)
-    free_sums = _ConeSums(mode, dim_p)
+    sums = _ConeSums(mode)
+    free_sums = _ConeSums(mode)
     for j, tau_lo, tau_hi in slabs:
         X = history.part_x[j]
-        P = history.part_p[j]
-        st = history.fields[j]
-        E, B = _gather_eb(st, X)
-        p3 = _embed3(P)
-        p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
-        phat = p3 / p0[:, None]
-        force3 = E + np.cross(phat, B)
-        force = force3[:, :dim_p]
-        d = _min_image(X - probe[None, :], box)
-        r = np.sqrt(np.sum(d * d, axis=1))
-        om = np.where(r[:, None] > 0, d / np.maximum(r, 1e-300)[:, None],
-                      np.array([1.0, 0.0]))
-        kg = np.sqrt(mx.good_component_sq(E, B, om, mode))
-        sums.add_step(X, P, w, probe, box, tau_lo, tau_hi, force=force, kg=kg)
-        free_sums.add_step(free_x[j], history.part_p[0], w, probe, box,
-                           tau_lo, tau_hi, s_terms=False)
+        c = _cone_rows(X, t, probe, box, tau_lo, tau_hi)
+        if c.idx.size:
+            P = history.part_p[j][c.idx]
+            E, B = _gather_eb(history.fields[j], X[c.idx])
+            p3 = _embed3(P)
+            phat = p3 / np.sqrt(1.0 + np.sum(p3 * p3, axis=1))[:, None]
+            force = (E + np.cross(phat, B))[:, :dim_p]
+            om = np.where(c.r[:, None] > 0,
+                          c.d / np.maximum(c.r, 1e-300)[:, None],
+                          np.array([1.0, 0.0]))
+            kg = np.sqrt(mx.good_component_sq(E, B, om, mode))
+            sums.add_step(c, P, w[c.idx], force=force, kg=kg)
+        c = _cone_rows(free_x[j], t, probe, box, tau_lo, tau_hi)
+        if c.idx.size:
+            free_sums.add_step(c, history.part_p[0][c.idx], w[c.idx])
 
     g_E, g_B = _gather_eb(g_fields, probe.reshape(1, 2))
     return RepresentationReport(
@@ -647,9 +662,8 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    k = _history_index(history, t)
-    grid = history.grid
-    box = np.array([grid.lx, grid.ly])
+    _history_index(history, t)
+    box = np.array([history.grid.lx, history.grid.ly])
     probe = np.asarray(x, dtype=float)
     mode = history.mode
     w = history.w
@@ -659,39 +673,20 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
     term_g = 0.0
     term_h = 0.0
     for j, tau_lo, tau_hi in _cone_slabs(history.times, t):
-        X = history.part_x[j]
-        P = history.part_p[j]
-        d = _min_image(X - probe[None, :], box)
-        r = np.sqrt(np.sum(d * d, axis=1))
-        w1, w2 = slab_weights(r, tau_lo, tau_hi)
-        mask = (w1 > 0) | (w2 > 0)
-        if not np.any(mask):
-            continue
-        d = d[mask]
-        r = r[mask]
-        w1 = w1[mask]
-        w2 = w2[mask]
-        wp = w[mask]
-        P = P[mask]
-        tau_mid = 0.5 * (tau_lo + tau_hi)
-        denom = np.maximum(tau_mid, np.maximum(r, 1e-300))
-        xi = d / denom[:, None]
-        nrm = np.sqrt(np.sum(xi * xi, axis=1))
-        over = nrm > 1.0
-        if np.any(over):
-            xi[over] /= nrm[over, None]
-            nrm[over] = 1.0
+        c = _cone_rows(history.part_x[j], t, probe, box, tau_lo, tau_hi)
+        wp = w[c.idx]
+        P = history.part_p[j][c.idx]
         p3 = _embed3(P)
         p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
-        kappa = (p3[:, 0] * xi[:, 0] + p3[:, 1] * xi[:, 1]) / p0
+        kappa = (p3[:, 0] * c.xi[:, 0] + p3[:, 1] * c.xi[:, 1]) / p0
         maj = 1.0 / (p0 * (1.0 + kappa))
         if mode == "2.5d":
             maj = maj * (1.0 + P[:, 2] ** 2) ** 1.5
-        interior = nrm <= 1.0 - eps
-        lhs_int += float(np.sum((wp * maj * w1)[interior]))
-        lhs_col += float(np.sum((wp * maj * w1)[~interior]))
-        term_g += float(np.sum(wp * p0 ** 2 * w2))
-        term_h += float(np.sum(wp * p0 ** 4 * w2))
+        interior = np.sqrt(np.sum(c.xi * c.xi, axis=1)) <= 1.0 - eps
+        lhs_int += float(np.sum((wp * maj * c.w1)[interior]))
+        lhs_col += float(np.sum((wp * maj * c.w1)[~interior]))
+        term_g += float(np.sum(wp * p0 ** 2 * c.w2))
+        term_h += float(np.sum(wp * p0 ** 4 * c.w2))
     rhs = eps ** (-0.1) * term_g ** 0.4 + eps ** 0.3 * term_h ** 0.4
     return EpsilonSplitReport(eps=eps, lhs=lhs_int + lhs_col,
                               lhs_interior=lhs_int, lhs_collar=lhs_col,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from vmlab import cli, pic
+from vmlab import retarded as rt
 
 
 def run_cli(*argv):
@@ -135,6 +136,50 @@ class TestFieldsCompare:
         assert code == cli.EXIT_OK
         data = json.loads(rep.read_text())
         assert "warning" in data["probes"][0]
+
+    def test_records_in_input_order_across_times(self, history_run, tmp_path):
+        pts = [{"t": 0.1, "x": [10.0, 10.0]},
+               {"t": 0.2, "x": [11.0, 9.0]},
+               {"t": 0.1, "x": [9.5, 10.5]}]
+        rep = tmp_path / "rep.json"
+        assert run_cli("fields-compare", str(history_run),
+                       "--probes", str(self._probes(tmp_path, pts)),
+                       "--out", str(rep)) == cli.EXIT_OK
+        records = json.loads(rep.read_text())["probes"]
+        history = pic.RunHistory.load_npz(history_run / "history.npz")
+        assert len(records) == len(pts)
+        for pr, rec in zip(pts, records):
+            one = rt.field_from_representation(history, pr["t"], pr["x"])
+            for key, val in one.to_dict().items():
+                assert rec[key] == val, key
+
+    @pytest.mark.parametrize("record,key", [
+        ({"x": [10.0, 10.0]}, "t"),
+        ({"t": 0.3, "x": [10.0, 10.0, 1.0]}, "x"),
+        ({"t": "0.3", "x": [10.0, 10.0]}, "t"),
+    ])
+    def test_bad_probe_record_is_usage_error(self, history_run, tmp_path,
+                                             monkeypatch, capsys, record, key):
+        def no_load(path):
+            raise AssertionError("history loaded before the probes were checked")
+
+        monkeypatch.setattr(pic.RunHistory, "load_npz", no_load)
+        probes = self._probes(tmp_path, [{"t": 0.3, "x": [10.0, 10.0]},
+                                         record])
+        assert run_cli("fields-compare", str(history_run),
+                       "--probes", str(probes)) == cli.EXIT_USAGE
+        assert f"probe 1: {key} " in capsys.readouterr().err
+
+    def test_probe_on_particle_is_usage_error(self, history_run, tmp_path,
+                                              capsys):
+        history = pic.RunHistory.load_npz(history_run / "history.npz")
+        x = history.part_x[-1][0].tolist()
+        probes = self._probes(tmp_path, [{"t": 0.3, "x": x}])
+        assert run_cli("fields-compare", str(history_run),
+                       "--probes", str(probes)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "sits on a particle" in err
 
     def test_missing_history(self, small_scenario, tmp_path):
         out = tmp_path / "nohist"

@@ -241,9 +241,23 @@ class TestSeriesAndHistory:
         f = tmp_path / "h.npz"
         res.history.save_npz(f)
         back = pic.RunHistory.load_npz(f)
-        assert np.array_equal(back.times, res.history.times)
-        assert np.array_equal(back.fields[-1].E, res.history.fields[-1].E)
-        assert np.array_equal(back.part_x[0], res.history.part_x[0])
+        h = res.history
+        assert back.mode == h.mode and back.grid == h.grid
+        assert np.array_equal(back.times, h.times)
+        assert np.array_equal(back.w, h.w)
+        assert len(back.fields) == len(back.part_x) == len(back.part_p) \
+            == len(h.times)
+        for k in range(len(h.times)):
+            assert np.array_equal(back.fields[k].E, h.fields[k].E)
+            assert np.array_equal(back.fields[k].B, h.fields[k].B)
+            assert back.fields[k].time == h.times[k]
+            assert np.array_equal(back.part_x[k], h.part_x[k])
+            assert np.array_equal(back.part_p[k], h.part_p[k])
+        # each stack is decompressed once: every step is a view into it
+        for steps in ([f.E for f in back.fields], [f.B for f in back.fields],
+                      back.part_x, back.part_p):
+            assert steps[0].base is not None
+            assert all(a.base is steps[0].base for a in steps)
 
 
 class TestForceFree:

@@ -188,11 +188,12 @@ def _history(t_final=0.6, seed=3):
 class TestRepresentation:
     def test_matches_grid_solver(self):
         h = _history()
-        cache = {}
+        xs = [(10.0 + 2.2 * math.cos(ang), 10.0 + 2.2 * math.sin(ang))
+              for ang in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)]
+        reps = rt.field_from_representation(h, 0.6, xs)
+        assert len(reps) == len(xs)
         err_sq = ref_sq = 0.0
-        for ang in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False):
-            x = (10.0 + 2.2 * math.cos(ang), 10.0 + 2.2 * math.sin(ang))
-            rep = rt.field_from_representation(h, 0.6, x, _cache=cache)
+        for x, rep in zip(xs, reps):
             gE, gB = rt.grid_field_at(h, 0.6, x)
             d = np.concatenate([rep.total_E - gE, rep.total_B - gB])
             r = np.concatenate([gE, gB])
@@ -230,6 +231,40 @@ class TestRepresentation:
         h.w = np.full(2, 0.01)
         rep = rt.field_from_representation(h, 0.05, (10.01, 10.0))
         assert np.all(np.isfinite(rep.total_E))
+
+    def test_probe_batch_equals_single_probes(self):
+        h = _history(t_final=0.3)
+        xs = np.array([[11.0, 10.0], [9.0, 8.5], [10.5, 12.0]])
+        reps = rt.field_from_representation(h, 0.3, xs)
+        assert isinstance(reps, list) and len(reps) == len(xs)
+        for x, rep in zip(xs, reps):
+            one = rt.field_from_representation(h, 0.3, x)
+            assert isinstance(one, rt.RepresentationReport)
+            assert rep.to_dict() == one.to_dict()
+
+    def test_probe_shape_validation(self):
+        h = _history(t_final=0.3)
+        with pytest.raises(ValueError, match="shape"):
+            rt.field_from_representation(h, 0.3, [10.0, 10.0, 10.0])
+
+    @pytest.mark.parametrize("x_first,x_last", [
+        ((10.0, 10.0), (10.0, 10.0)),   # on the probe in both flows
+        ((9.9, 10.0), (10.0, 10.0)),    # in the interacting flow only
+        ((10.0, 10.0), (10.2, 10.0)),   # in the force-free flow only
+    ])
+    def test_probe_on_particle_is_rejected(self, x_first, x_last):
+        # a resting particle at the probe in the newest slab: the
+        # point-particle T integral diverges like 1/r there
+        grid = mx.Grid(16, 16, 20.0, 20.0)
+        h = pic.RunHistory(mode="2d", grid=grid)
+        h.times = [0.0, 0.05]
+        h.fields = [mx.FieldState.zeros("2d", grid, time=t) for t in h.times]
+        h.part_x = [np.array([x_first, [5.0, 5.0]]),
+                    np.array([x_last, [5.0, 5.0]])]
+        h.part_p = [np.array([[0.0, 0.0], [0.3, 0.0]])] * 2
+        h.w = np.full(2, 0.01)
+        with pytest.raises(ValueError, match=r"t=0\.05 x=\[10\.0, 10\.0\]"):
+            rt.field_from_representation(h, 0.05, (10.0, 10.0))
 
     def test_epsilon_split_eps_validation(self):
         h = _history(t_final=0.3)
