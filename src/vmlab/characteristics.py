@@ -21,6 +21,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .phase import embed3, p0_of
+
 __all__ = [
     "CharState",
     "FlowJacobian",
@@ -76,19 +78,6 @@ class FlowJacobian:
         return cls(J=np.eye(2 + d_p))
 
 
-def _p0_of(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + np.sum(p * p, axis=-1))
-
-
-def _embed3(v: np.ndarray) -> np.ndarray:
-    """Pad (..., 2) vectors with a zero third component; pass (..., 3) through."""
-    if v.shape[-1] == 3:
-        return v
-    out = np.zeros(v.shape[:-1] + (3,))
-    out[..., :2] = v
-    return out
-
-
 def _rotate_about(p3: np.ndarray, b: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Rodrigues rotation of p3 about unit axis b by the given angle, with the
     rotation sense of dp/dtheta = p x b (magnetic gyration)."""
@@ -106,7 +95,7 @@ def push_many(x: np.ndarray, p: np.ndarray, fields: FieldSampler, t: float,
     Returns (x, p) at time t + dt.
     """
     d_p = p.shape[-1]
-    p0 = _p0_of(p)
+    p0 = p0_of(p)
     xh = x + (0.5 * dt) * (p[..., :2] / p0[..., None])
     E, B = fields(t + 0.5 * dt, xh)
     E = np.broadcast_to(np.asarray(E, dtype=float), xh.shape[:-1] + (3,))
@@ -116,8 +105,8 @@ def push_many(x: np.ndarray, p: np.ndarray, fields: FieldSampler, t: float,
     bmag = np.sqrt(np.sum(B * B, axis=-1))
     active = bmag > 0.0
     if np.any(active):
-        p3 = _embed3(pm)
-        p0m = _p0_of(pm)
+        p3 = embed3(pm)
+        p0m = p0_of(pm)
         safe = np.where(active, bmag, 1.0)
         axis = B / safe[..., None]
         angle = np.where(active, bmag * dt / p0m, 0.0)
@@ -126,7 +115,7 @@ def push_many(x: np.ndarray, p: np.ndarray, fields: FieldSampler, t: float,
     else:
         pp = pm
     pn = pp + (0.5 * dt) * E[..., :d_p]
-    p0n = _p0_of(pn)
+    p0n = p0_of(pn)
     xn = xh + (0.5 * dt) * (pn[..., :2] / p0n[..., None])
     return xn, pn
 
@@ -175,8 +164,8 @@ def _rhs_matrix(t: float, x: np.ndarray, p: np.ndarray,
     dE = np.asarray(dE, dtype=float)
     dB = np.asarray(dB, dtype=float)
 
-    p0 = float(_p0_of(p))
-    ph3 = _embed3(p)[..., :] / p0
+    p0 = float(p0_of(p))
+    ph3 = embed3(p) / p0
     # d(phat_a)/dp_j for the embedded 3-vector, a = 1..3, j = 1..d_p
     dphat = np.zeros((3, d_p))
     for j in range(d_p):

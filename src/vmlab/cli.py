@@ -248,11 +248,6 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _finite_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 def _probe_points(probes) -> list:
     """(t, x) of each probe record; raises ValueError naming the bad record
     and key."""
@@ -262,12 +257,12 @@ def _probe_points(probes) -> list:
     for i, pr in enumerate(probes):
         if not isinstance(pr, dict):
             raise ValueError(f"probe {i}: must be an object with keys t and x")
-        if not _finite_number(pr.get("t")):
+        if not pic.finite_number(pr.get("t")):
             raise ValueError(f"probe {i}: t must be a finite number, "
                              f"got {pr.get('t')!r}")
         x = pr.get("x")
         if not (isinstance(x, list) and len(x) == 2
-                and all(map(_finite_number, x))):
+                and all(map(pic.finite_number, x))):
             raise ValueError(f"probe {i}: x must be a list of 2 finite "
                              f"numbers, got {x!r}")
         out.append((float(pr["t"]), [float(v) for v in x]))

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .maxwell import flux_identity_lhs, good_component_sq
-from .phase import interpolation_check
+from .phase import embed3, interpolation_check, p0_of, unit_direction
 from .retarded import RetardedQuadrature, box_inverse
 
 __all__ = [
@@ -195,20 +195,15 @@ def geometry_bounds_check(cfg: SamplerConfig, d_p: int = 3) -> dict:
     every bound holds iff every max_ratio <= 1.
     """
     p, xi = sample_momenta_xi(cfg, d_p=d_p)
-    p3 = np.zeros((p.shape[0], 3))
-    p3[:, :p.shape[1]] = p
-    p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
-    phat = p3 / p0[:, None]
+    p0 = p0_of(p)
+    phat = embed3(p) / p0[:, None]
     xi_mag = np.sqrt(np.sum(xi * xi, axis=1))
-    omega = np.where(xi_mag[:, None] > 0,
-                     xi / np.maximum(xi_mag, 1e-300)[:, None],
-                     np.array([1.0, 0.0]))
-    om3 = np.concatenate([omega, np.zeros((omega.shape[0], 1))], axis=1)
+    om3 = embed3(unit_direction(xi, xi_mag))
     kappa = phat[:, 0] * xi[:, 0] + phat[:, 1] * xi[:, 1]
     one = 1.0 + kappa
     half = np.sqrt(one)
 
-    xi3 = np.concatenate([xi, np.zeros((xi.shape[0], 1))], axis=1)
+    xi3 = embed3(xi)
     checks = {
         "xi_plus_phat": (np.linalg.norm(xi3 + phat, axis=1), half),
         "phat_cross_omega": (np.linalg.norm(np.cross(phat, om3), axis=1), half),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import ParticleEnsemble
+from .phase import ParticleEnsemble, embed3
 
 __all__ = [
     "Grid",
@@ -342,8 +342,7 @@ def flux_identity_lhs(E, B, omega):
     direction omega = (w1, w2, 0); vectorized over leading axes."""
     E = np.asarray(E, dtype=float)
     B = np.asarray(B, dtype=float)
-    om = np.zeros(E.shape)
-    om[..., :2] = np.asarray(omega, dtype=float)[..., :2]
+    om = embed3(np.asarray(omega, dtype=float)[..., :2])
     poynting = np.cross(E, B)
     return 0.5 * np.sum(E * E + B * B, axis=-1) + np.sum(om * poynting, axis=-1)
 
@@ -365,8 +364,7 @@ def good_component_sq(E, B, omega, mode: str):
         edotw = E[..., 0] * w2[..., 0] + E[..., 1] * w2[..., 1]
         wedge = w2[..., 0] * E[..., 1] - w2[..., 1] * E[..., 0]
         return 2.0 * (edotw ** 2 + (B[..., 2] + wedge) ** 2)
-    om = np.zeros(E.shape)
-    om[..., :2] = w2[..., :2]
+    om = embed3(w2[..., :2])
     edotw = np.sum(E * om, axis=-1)
     bdotw = np.sum(B * om, axis=-1)
     embx = E - np.cross(om, B)

@@ -17,6 +17,9 @@ import numpy as np
 __all__ = [
     "Momentum",
     "ParticleEnsemble",
+    "embed3",
+    "p0_of",
+    "unit_direction",
     "ConeGeometry",
     "MomentSpec",
     "NormSpec",
@@ -49,6 +52,20 @@ class Momentum:
     @property
     def dim(self) -> int:
         return self.p.shape[-1]
+
+
+def embed3(v: np.ndarray) -> np.ndarray:
+    """Pad (..., 2) vectors with a zero third component; pass (..., 3) through."""
+    if v.shape[-1] == 3:
+        return v
+    out = np.zeros(v.shape[:-1] + (3,))
+    out[..., :2] = v
+    return out
+
+
+def p0_of(p: np.ndarray) -> np.ndarray:
+    """Energies sqrt(1 + |p|^2) of momenta p (..., d_p)."""
+    return np.sqrt(1.0 + np.sum(p * p, axis=-1))
 
 
 def momentum_derived(p) -> Momentum:
@@ -110,15 +127,19 @@ def cone_coords(t: float, s: float, x, y) -> ConeGeometry:
         raise ValueError(f"point outside the backward cone: |y-x|={r} > t-s={dt}")
     r = min(r, dt)
     xi = d / dt
-    if r > 0.0:
-        omega = d / r
-    else:
-        omega = np.array([1.0, 0.0])
+    omega = unit_direction(d, np.asarray(r))
     psi = 0.5 * (dt - r)
     one_minus_xi_sq = max(0.0, 1.0 - float(xi @ xi))
     theta = math.atan2(omega[1], omega[0])
     return ConeGeometry(xi=xi, omega=omega, psi=psi,
                         one_minus_xi_sq=one_minus_xi_sq, theta=theta)
+
+
+def unit_direction(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Unit directions d / r of in-plane offsets d (..., 2) with lengths r
+    (...), and e_1 where r = 0 (on the cone axis)."""
+    return np.where(r[..., None] > 0, d / np.maximum(r, 1e-300)[..., None],
+                    np.array([1.0, 0.0]))
 
 
 def momentum_cone_angle(phat, xi) -> float:
@@ -184,7 +205,7 @@ class ParticleEnsemble:
 
     @property
     def p0(self) -> np.ndarray:
-        return np.sqrt(1.0 + np.sum(self.p * self.p, axis=1))
+        return p0_of(self.p)
 
     @property
     def phat(self) -> np.ndarray:
@@ -360,7 +381,7 @@ def interpolation_check(density, S: float, M: float, q: float, d_p: int,
     hx = xm[1] - xm[0]
     xg = np.stack([a.ravel() for a in np.meshgrid(xm, xm, indexing="ij")], axis=-1)
     pts, p_cell = _p_grid(d_p, p_max, n_p)
-    p0 = np.sqrt(1.0 + np.sum(pts * pts, axis=1))
+    p0 = p0_of(pts)
 
     lhs_x = np.empty(xg.shape[0])
     rhs_x = np.empty(xg.shape[0])

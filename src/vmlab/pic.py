@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "Scenario",
     "load_scenario",
     "scenario_from_dict",
+    "finite_number",
     "sample_ensemble",
     "deposit",
     "gather_cic",
@@ -45,9 +46,6 @@ __all__ = [
     "run",
     "conservation_report",
     "moment_inequality_monitor",
-    "golden_2d",
-    "golden_25d",
-    "golden_repr",
 ]
 
 
@@ -55,11 +53,44 @@ __all__ = [
 # Scenario configuration
 # --------------------------------------------------------------------------
 
-_F0_KEYS = {"sigma_x", "alpha", "beams", "p3_nu", "mass"}
-_FIELDS0_KEYS = {"poisson", "a3_amp", "a3_sigma", "e3_amp", "e3_sigma"}
-_TOP_KEYS = {"mode", "grid_n", "box", "dt", "t_final", "seed", "n_particles",
-             "f0", "fields0", "gauss_correction", "diagnostic_every",
-             "moment_orders", "delta", "n_tracers", "store_history"}
+def finite_number(v) -> bool:
+    """An int or float, not a bool, and finite: a number in a JSON input."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_COUNT = (lambda v: _int(v) and v >= 0, "a nonnegative integer")
+_POSITIVE_INT = (lambda v: _int(v) and v > 0, "a positive integer")
+_POSITIVE = (lambda v: finite_number(v) and v > 0,
+             "a positive finite number")
+_FINITE = (finite_number, "a finite number")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+
+# (check, requirement) for each scenario value, by key path; every f0 and
+# fields0 member is optional, and these are all the members they may have
+_RULES = {
+    "grid_n": _POSITIVE_INT, "diagnostic_every": _POSITIVE_INT,
+    "n_particles": _COUNT, "seed": _COUNT, "n_tracers": _COUNT,
+    "box": _POSITIVE, "dt": _POSITIVE, "t_final": _POSITIVE, "delta": _POSITIVE,
+    "gauss_correction": _FLAG, "store_history": _FLAG,
+    "moment_orders": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                      and all(finite_number(N) and N >= 0 for N in v),
+                      "a nonempty list of nonnegative numbers"),
+    "f0.sigma_x": _POSITIVE, "f0.p3_nu": _POSITIVE, "f0.mass": _POSITIVE,
+    "f0.alpha": (lambda v: finite_number(v) and v > 2.0,
+                 "a finite number above 2 for a normalizable profile"),
+    "f0.beams": (lambda v: isinstance(v, list) and len(v) > 0
+                 and all(isinstance(b, list) and len(b) == 2
+                         and all(map(finite_number, b)) for b in v),
+                 "a nonempty list of [p1, p2] pairs of finite numbers"),
+    "fields0.poisson": _FLAG,
+    "fields0.a3_amp": _FINITE, "fields0.a3_sigma": _POSITIVE,
+    "fields0.e3_amp": _FINITE, "fields0.e3_sigma": _POSITIVE,
+}
 
 
 @dataclass
@@ -97,22 +128,21 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in mx.MODES:
             raise ValueError(f"mode: must be one of {mx.MODES}, got {self.mode!r}")
-        for name in ("grid_n", "n_particles", "seed"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 0):
-                raise ValueError(f"{name}: must be a nonnegative integer, got {v!r}")
-        for name in ("box", "dt", "t_final"):
-            v = float(getattr(self, name))
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name}: must be positive and finite, got {v!r}")
-        bad = set(self.f0) - _F0_KEYS
-        if bad:
-            raise ValueError(f"f0.{sorted(bad)[0]}: unknown key")
-        bad = set(self.fields0) - _FIELDS0_KEYS
-        if bad:
-            raise ValueError(f"fields0.{sorted(bad)[0]}: unknown key")
-        if float(self.f0.get("alpha", 18.0)) <= 2.0:
-            raise ValueError("f0.alpha: must exceed 2 for a normalizable profile")
+        for name in ("f0", "fields0"):
+            members = getattr(self, name)
+            if not isinstance(members, dict):
+                raise ValueError(f"{name}: must be an object, got {members!r}")
+            bad = {f"{name}.{k}" for k in members} - set(_RULES)
+            if bad:
+                raise ValueError(f"{sorted(bad)[0]}: unknown key")
+        for key, (ok, need) in _RULES.items():
+            head, _, leaf = key.partition(".")
+            if leaf and leaf not in getattr(self, head):
+                continue
+            v = getattr(self, head)[leaf] if leaf else getattr(self, key)
+            if not ok(v):
+                raise ValueError(f"{key}: must be {need}, got {v!r}")
+        self.moment_orders = tuple(float(N) for N in self.moment_orders)
 
     @property
     def dim_p(self) -> int:
@@ -140,17 +170,17 @@ class Scenario:
 def scenario_from_dict(cfg: dict, path: str = "<dict>") -> Scenario:
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: scenario must be a JSON object")
-    bad = set(cfg) - _TOP_KEYS
+    is_required = {f.name: f.default is MISSING for f in fields(Scenario)}
+    bad = set(cfg) - set(is_required)
     if bad:
         raise ValueError(f"{path}: unknown key {sorted(bad)[0]!r}")
-    missing = {"mode", "grid_n", "box", "dt", "t_final", "seed",
-               "n_particles", "f0", "fields0"} - set(cfg)
+    missing = {k for k, req in is_required.items() if req} - set(cfg)
     if missing:
         raise ValueError(f"{path}: missing key {sorted(missing)[0]!r}")
-    kwargs = dict(cfg)
-    if "moment_orders" in kwargs:
-        kwargs["moment_orders"] = tuple(float(v) for v in kwargs["moment_orders"])
-    return Scenario(**kwargs)
+    try:
+        return Scenario(**cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -673,56 +703,3 @@ def moment_inequality_monitor(result: RunResult, N: float | None = None) -> dict
     return {"N": float(N),
             "constant": float(ratio.max()),
             "max_deriv": float(np.abs(dmom).max())}
-
-
-# --------------------------------------------------------------------------
-# Golden scenarios
-# --------------------------------------------------------------------------
-
-
-def golden_2d(**overrides) -> Scenario:
-    """Reference planar run: weak counter-streaming beams in a 64^2 box."""
-    cfg = dict(
-        mode="2d", grid_n=64, box=20.0, dt=0.05, t_final=5.0, seed=7,
-        n_particles=100_000,
-        f0={"sigma_x": 1.5, "alpha": 18.0, "mass": 0.05,
-            "beams": [[0.5, 0.0], [-0.5, 0.0]]},
-        fields0={"poisson": True},
-        gauss_correction=True, diagnostic_every=5,
-        moment_orders=(2.0, 4.0), n_tracers=0,
-    )
-    cfg.update(overrides)
-    return scenario_from_dict(cfg, path="golden_2d")
-
-
-def golden_25d(**overrides) -> Scenario:
-    """Reference 3-momentum run with a gauge-field bump and tracers."""
-    cfg = dict(
-        mode="2.5d", grid_n=48, box=20.0, dt=0.05, t_final=1.5, seed=11,
-        n_particles=20_000,
-        f0={"sigma_x": 1.5, "alpha": 18.0, "mass": 0.05, "p3_nu": 16.0,
-            "beams": [[0.4, 0.0], [-0.4, 0.0]]},
-        fields0={"poisson": True, "a3_amp": 0.05, "a3_sigma": 2.0,
-                 "e3_amp": 0.05, "e3_sigma": 2.0},
-        gauss_correction=True, diagnostic_every=2,
-        moment_orders=(2.0,), delta=1.0, n_tracers=100,
-    )
-    cfg.update(overrides)
-    return scenario_from_dict(cfg, path="golden_25d")
-
-
-def golden_repr(**overrides) -> Scenario:
-    """Zero-initial-field planar run used for the retarded-representation
-    comparison: history stored, no Gauss correction (the comparison targets
-    the uncorrected Maxwell evolution)."""
-    cfg = dict(
-        mode="2d", grid_n=64, box=20.0, dt=0.04, t_final=1.6, seed=3,
-        n_particles=20_000,
-        f0={"sigma_x": 1.0, "alpha": 18.0, "mass": 0.08,
-            "beams": [[0.8, 0.0], [-0.8, 0.0]]},
-        fields0={},
-        gauss_correction=False, diagnostic_every=5,
-        moment_orders=(2.0,), n_tracers=0, store_history=True,
-    )
-    cfg.update(overrides)
-    return scenario_from_dict(cfg, path="golden_repr")

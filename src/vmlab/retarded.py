@@ -27,7 +27,7 @@ import numpy as np
 
 from . import maxwell as mx
 from . import pic
-from .phase import Momentum
+from .phase import Momentum, embed3, p0_of, unit_direction
 
 __all__ = [
     "KernelSet2D",
@@ -80,26 +80,17 @@ class KernelSet25D:
     dbS: np.ndarray
 
 
-def _embed3(v: np.ndarray) -> np.ndarray:
-    if v.shape[-1] == 3:
-        return v
-    out = np.zeros(v.shape[:-1] + (3,))
-    out[..., :2] = v
-    return out
-
-
 def _prep(p: np.ndarray, xi: np.ndarray):
     """Common kinematic factors; p is (n, 2) or (n, 3), xi is (n, 2)."""
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if np.any(np.sum(xi * xi, axis=-1) > 1.0 + 1e-9):
         raise ValueError("|xi| must not exceed 1")
-    p3 = _embed3(p)
-    p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=-1))
-    phat = p3 / p0[..., None]
-    xi3 = _embed3(xi)
+    p0 = p0_of(p)
+    phat = embed3(p) / p0[..., None]
+    xi3 = embed3(xi)
     kappa = phat[..., 0] * xi[..., 0] + phat[..., 1] * xi[..., 1]
-    return p3, p0, phat, xi3, kappa
+    return p0, phat, xi3, kappa
 
 
 def _s_matrices(p0, phat, xi3, kappa):
@@ -122,17 +113,11 @@ def _s_matrices(p0, phat, xi3, kappa):
            + 2.0 * (xi3 + phat)[..., :, None] * dkap[..., None, :]
            * inv2[..., None, None])
     # dbS: (xi x e_j)_i for j = 1..3 is a constant matrix in xi
-    zeros = np.zeros_like(kappa)
-    xicross = np.empty(kappa.shape + (3, 3))
-    xicross[..., 0, 0] = zeros
-    xicross[..., 0, 1] = zeros
+    xicross = np.zeros(kappa.shape + (3, 3))
     xicross[..., 0, 2] = xi3[..., 1]
-    xicross[..., 1, 0] = zeros
-    xicross[..., 1, 1] = zeros
     xicross[..., 1, 2] = -xi3[..., 0]
     xicross[..., 2, 0] = -xi3[..., 1]
     xicross[..., 2, 1] = xi3[..., 0]
-    xicross[..., 2, 2] = zeros
     xp = np.cross(xi3, phat)
     dbS = (2.0 * (xicross - xp[..., :, None] * phat[..., None, :])
            * inv1[..., None, None]
@@ -141,16 +126,13 @@ def _s_matrices(p0, phat, xi3, kappa):
 
 
 def kernel_arrays_2d(p: np.ndarray, xi: np.ndarray):
-    """Vectorized planar kernels: returns (eT (..., 2), bT (...,),
-    es (..., 2, 2), bs (..., 2))."""
-    _, p0, phat, xi3, kappa = _prep(p, xi)
-    one = 1.0 + kappa
-    flat = 1.0 / (p0 * p0)                     # 1 - |phat|^2
-    wedge = xi3[..., 0] * phat[..., 1] - xi3[..., 1] * phat[..., 0]
-    eT = -2.0 * (flat / one ** 2)[..., None] * (xi3 + phat)[..., :2]
-    bT = 2.0 * flat * wedge / one ** 2
-    deS, dbS = _s_matrices(p0, phat, xi3, kappa)
-    return eT, bT, deS[..., :2, :2], dbS[..., 2, :2]
+    """Vectorized planar kernels, the p3 = 0 slice of ``kernel_arrays_25d``:
+    returns (eT (..., 2), bT (...,), es (..., 2, 2), bs (..., 2))."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1] != 2:
+        raise ValueError("planar kernels require 2-component momenta")
+    eT, bT, _, _, deS, dbS = kernel_arrays_25d(embed3(p), xi)
+    return eT[..., :2], bT[..., 2], deS[..., :2, :2], dbS[..., 2, :2]
 
 
 def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
@@ -159,27 +141,23 @@ def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError("3-momentum kernels require 3-component momenta")
-    _, p0, phat, xi3, kappa = _prep(p, xi)
+    p0, phat, xi3, kappa = _prep(p, xi)
     one = 1.0 + kappa
-    flat = 1.0 - phat[..., 0] ** 2 - phat[..., 1] ** 2
+    one2 = one ** 2
+    # 1 - phat1^2 - phat2^2 without its cancellation at large |p|
+    flat = (1.0 + p[..., 2] ** 2) / (p0 * p0)
+    wedge = xi3[..., 0] * phat[..., 1] - xi3[..., 1] * phat[..., 0]
     xp = xi3 + phat
+    c3 = 2.0 * phat[..., 2] / one2
     eT = np.empty(p.shape[:-1] + (3,))
-    eT[..., 0] = -2.0 * flat * xp[..., 0] / one ** 2
-    eT[..., 1] = -2.0 * flat * xp[..., 1] / one ** 2
-    eT[..., 2] = (2.0 * phat[..., 2]
-                  * (phat[..., 0] * xp[..., 0] + phat[..., 1] * xp[..., 1])
-                  / one ** 2)
+    eT[..., :2] = -2.0 * (flat / one2)[..., None] * xp[..., :2]
+    eT[..., 2] = c3 * (phat[..., 0] * xp[..., 0] + phat[..., 1] * xp[..., 1])
     bT = np.empty(p.shape[:-1] + (3,))
-    bT[..., 0] = (2.0 * phat[..., 2]
-                  * ((1.0 + xi3[..., 0] * phat[..., 0]) * xp[..., 1]
-                     - xi3[..., 1] * phat[..., 0] * xp[..., 0]) / one ** 2)
-    bT[..., 1] = (2.0 * phat[..., 2]
-                  * (xi3[..., 0] * phat[..., 1] * xp[..., 1]
-                     - (1.0 + xi3[..., 1] * phat[..., 1]) * xp[..., 0]) / one ** 2)
-    rho2 = phat[..., 0] ** 2 + phat[..., 1] ** 2
-    bT[..., 2] = (2.0 * ((phat[..., 1] + xi3[..., 1] * rho2) * xp[..., 0]
-                         - (phat[..., 0] + xi3[..., 0] * rho2) * xp[..., 1])
-                  / one ** 2)
+    bT[..., 0] = c3 * ((1.0 + xi3[..., 0] * phat[..., 0]) * xp[..., 1]
+                       - xi3[..., 1] * phat[..., 0] * xp[..., 0])
+    bT[..., 1] = c3 * (xi3[..., 0] * phat[..., 1] * xp[..., 1]
+                       - (1.0 + xi3[..., 1] * phat[..., 1]) * xp[..., 0])
+    bT[..., 2] = 2.0 * flat * wedge / one2
     eS = -2.0 * xp / one[..., None]
     bS = 2.0 * np.cross(xi3, phat) / one[..., None]
     deS, dbS = _s_matrices(p0, phat, xi3, kappa)
@@ -232,7 +210,7 @@ def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> KernelBoundR
     """
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    _, p0, phat, _, kappa = _prep(p, xi)
+    p0, _, _, kappa = _prep(p, xi)
     one = 1.0 + kappa
     constants = {}
     witnesses = {}
@@ -436,41 +414,30 @@ class _ConeSums:
         self.ks2 = 0.0
 
     def add_step(self, c: _ConeRows, P, wp, force=None, kg=None):
-        """Add one slab's cone rows ``c``; P, wp, force and kg hold those
-        rows only. Without ``force`` only the T sums are taken."""
+        """Add one slab's cone rows ``c``; P, wp, force (3 components) and
+        kg hold those rows only. Without ``force`` only the T sums are
+        taken. A planar history is the p3 = 0 case of the same sums."""
         w1, w2, xi = c.w1, c.w2, c.xi
-        p3 = _embed3(P)
-        p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
+        p3 = embed3(P)
+        eT, bT, _, _, deS, dbS = kernel_arrays_25d(p3, xi)
+        self.E_T += np.sum((wp * w1)[:, None] * eT, axis=0)
+        self.B_T += np.sum((wp * w1)[:, None] * bT, axis=0)
+        if force is None:
+            return
+        self.E_S += np.sum(
+            (wp * w2)[:, None] * np.einsum("nij,nj->ni", deS, force), axis=0)
+        self.B_S += np.sum(
+            (wp * w2)[:, None] * np.einsum("nij,nj->ni", dbS, force), axis=0)
+        p0 = p0_of(p3)
         kappa = (p3[:, 0] * xi[:, 0] + p3[:, 1] * xi[:, 1]) / p0
-
+        bp3 = 1.0 + p3[:, 2] ** 2
+        wk = wp * w2 * np.sqrt(np.sum(force ** 2, axis=1))
         if self.mode == "2d":
-            eT, bT, es, bs = kernel_arrays_2d(P, xi)
-            self.E_T[:2] += np.sum((wp * w1)[:, None] * eT, axis=0)
-            self.B_T[2] += float(np.sum(wp * w1 * bT))
-            if force is not None:
-                K = force[:, :2]
-                self.E_S[:2] += np.sum(
-                    (wp * w2)[:, None] * np.einsum("nij,nj->ni", es, K), axis=0)
-                self.B_S[2] += float(np.sum(wp * w2 * np.sum(bs * K, axis=1)))
-                kmag = np.sqrt(np.sum(force ** 2, axis=1))
-                self.ks1 += float(np.sum(wp * w2 * kmag / p0))
-                self.ks2 += float(np.sum(wp * w2 * kg / ((1.0 + kappa) * p0)))
+            self.ks1 += float(np.sum(wk / p0))
         else:
-            eT, bT, _, _, deS, dbS = kernel_arrays_25d(P, xi)
-            self.E_T += np.sum((wp * w1)[:, None] * eT, axis=0)
-            self.B_T += np.sum((wp * w1)[:, None] * bT, axis=0)
-            if force is not None:
-                K = force
-                self.E_S += np.sum(
-                    (wp * w2)[:, None] * np.einsum("nij,nj->ni", deS, K), axis=0)
-                self.B_S += np.sum(
-                    (wp * w2)[:, None] * np.einsum("nij,nj->ni", dbS, K), axis=0)
-                bp3 = 1.0 + P[:, 2] ** 2
-                kmag = np.sqrt(np.sum(K ** 2, axis=1))
-                self.ks1 += float(np.sum(
-                    wp * w2 * kmag * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa)))))
-                self.ks2 += float(np.sum(
-                    wp * w2 * kg * bp3 / ((1.0 + kappa) * p0)))
+            self.ks1 += float(np.sum(
+                wk * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa)))))
+        self.ks2 += float(np.sum(wp * w2 * kg * bp3 / ((1.0 + kappa) * p0)))
 
 
 def _history_index(history: "pic.RunHistory", t: float) -> int:
@@ -485,9 +452,8 @@ def _free_positions(history: "pic.RunHistory", k: int, box: np.ndarray):
     """Force-free trajectories from the initial ensemble: straight lines with
     the initial velocities, wrapped into the box."""
     x0 = history.part_x[0]
-    p0vec = history.part_p[0]
-    p3 = _embed3(p0vec)
-    phat = (p3 / np.sqrt(1.0 + np.sum(p3 * p3, axis=1))[:, None])[:, :2]
+    p = history.part_p[0]
+    phat = p[:, :2] / p0_of(p)[:, None]
     out = []
     for j in range(k + 1):
         out.append(pic.wrap_box(x0 + history.times[j] * phat, box))
@@ -589,7 +555,8 @@ def field_from_representation(history: "pic.RunHistory", t: float, x):
     box = np.array([history.grid.lx, history.grid.ly])
     free_x = _free_positions(history, k, box)
     g_fields = _free_field_rerun(history, k, free_x, history.w)
-    slabs = _cone_slabs(history.times, t)
+    # the cone ends at the stored time the probe t was matched to
+    slabs = _cone_slabs(history.times, float(history.times[k]))
     reports = [_probe_report(history, t, probe, box, slabs, free_x, g_fields)
                for probe in probes.reshape(-1, 2)]
     return reports[0] if probes.ndim == 1 else reports
@@ -599,7 +566,6 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
     """One probe of ``field_from_representation``: the cone sums of the
     interacting and the force-free flow over the slabs, on cone rows only."""
     mode = history.mode
-    dim_p = history.part_p[0].shape[1]
     w = history.w
     sums = _ConeSums(mode)
     free_sums = _ConeSums(mode)
@@ -609,13 +575,10 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         if c.idx.size:
             P = history.part_p[j][c.idx]
             E, B = _gather_eb(history.fields[j], X[c.idx])
-            p3 = _embed3(P)
-            phat = p3 / np.sqrt(1.0 + np.sum(p3 * p3, axis=1))[:, None]
-            force = (E + np.cross(phat, B))[:, :dim_p]
-            om = np.where(c.r[:, None] > 0,
-                          c.d / np.maximum(c.r, 1e-300)[:, None],
-                          np.array([1.0, 0.0]))
-            kg = np.sqrt(mx.good_component_sq(E, B, om, mode))
+            p3 = embed3(P)
+            force = E + np.cross(p3 / p0_of(p3)[:, None], B)
+            kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
+                                              mode))
             sums.add_step(c, P, w[c.idx], force=force, kg=kg)
         c = _cone_rows(free_x[j], t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
@@ -662,10 +625,9 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    _history_index(history, t)
+    t = float(history.times[_history_index(history, t)])
     box = np.array([history.grid.lx, history.grid.ly])
     probe = np.asarray(x, dtype=float)
-    mode = history.mode
     w = history.w
 
     lhs_int = 0.0
@@ -676,12 +638,10 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
         c = _cone_rows(history.part_x[j], t, probe, box, tau_lo, tau_hi)
         wp = w[c.idx]
         P = history.part_p[j][c.idx]
-        p3 = _embed3(P)
-        p0 = np.sqrt(1.0 + np.sum(p3 * p3, axis=1))
+        p3 = embed3(P)
+        p0 = p0_of(p3)
         kappa = (p3[:, 0] * c.xi[:, 0] + p3[:, 1] * c.xi[:, 1]) / p0
-        maj = 1.0 / (p0 * (1.0 + kappa))
-        if mode == "2.5d":
-            maj = maj * (1.0 + P[:, 2] ** 2) ** 1.5
+        maj = (1.0 + p3[:, 2] ** 2) ** 1.5 / (p0 * (1.0 + kappa))
         interior = np.sqrt(np.sum(c.xi * c.xi, axis=1)) <= 1.0 - eps
         lhs_int += float(np.sum((wp * maj * c.w1)[interior]))
         lhs_col += float(np.sum((wp * maj * c.w1)[~interior]))

@@ -2,6 +2,7 @@
 integrity, and override handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,17 @@ class TestSimulate:
         f.write_text(json.dumps({"mode": "2d"}))
         assert run_cli("simulate", str(f),
                        "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+
+    def test_bad_scenario_value_is_usage_error(self, small_scenario, tmp_path,
+                                               capsys):
+        cfg = json.loads(small_scenario.read_text())
+        cfg["diagnostic_every"] = 0
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(cfg))
+        assert run_cli("simulate", str(f),
+                       "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "diagnostic_every: must be a positive integer" in err
 
     def test_missing_scenario_file(self, tmp_path):
         assert run_cli("simulate", str(tmp_path / "nope.json"),
@@ -219,14 +231,19 @@ class TestParser:
         assert run_cli("frobnicate") == cli.EXIT_USAGE
 
 
+SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN_SCENARIOS = sorted(p for p in SCENARIOS_DIR.glob("golden_*.json")
+                          if not p.name.endswith("_probes.json"))
+
+
 class TestGoldenScenarioFiles:
-    @pytest.mark.parametrize("name,factory", [
-        ("golden_2d", pic.golden_2d),
-        ("golden_25d", pic.golden_25d),
-        ("golden_repr", pic.golden_repr),
-    ])
-    def test_checked_in_files_match_factories(self, name, factory):
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+    def test_all_three_found(self):
+        assert [p.stem for p in GOLDEN_SCENARIOS] == [
+            "golden_25d", "golden_2d", "golden_repr"]
+
+    @pytest.mark.parametrize("path", GOLDEN_SCENARIOS, ids=lambda p: p.stem)
+    def test_checked_in_files_are_canonical(self, path):
+        # the golden scenarios live only on disk; each file must be the
+        # canonical form of the scenario it loads to
         on_disk = json.loads(path.read_text())
-        assert on_disk == factory().to_canonical_dict()
+        assert on_disk == pic.load_scenario(path).to_canonical_dict()

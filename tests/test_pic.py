@@ -1,6 +1,8 @@
 """Particle-in-cell engine: scenario validation, sampling, deposition,
 gathering, the coupled time loop, and its conservation reports."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,31 @@ class TestScenario:
         cfg = small_cfg()
         cfg["f0"]["alpha"] = 2.0   # needs alpha > 2 for finite sampling
         with pytest.raises(ValueError):
+            pic.scenario_from_dict(cfg, path="inline")
+
+    @pytest.mark.parametrize("key,value", [
+        ("diagnostic_every", 0),
+        ("grid_n", 0),
+        ("moment_orders", [-3.0]),
+        ("moment_orders", []),
+        ("grid_n", True),
+        ("seed", True),
+        ("box", "20"),
+        ("delta", float("nan")),
+        ("n_tracers", -5),
+        ("f0", []),
+        ("f0.sigma_x", -1.0),
+        ("f0.beams", [[0.5]]),
+        ("fields0.poisson", "yes"),
+    ])
+    def test_bad_value_rejected_with_key_path(self, key, value):
+        cfg = small_cfg()
+        head, _, leaf = key.partition(".")
+        if leaf:
+            cfg[head][leaf] = value
+        else:
+            cfg[head] = value
+        with pytest.raises(ValueError, match=rf"^inline: {re.escape(key)}: must be"):
             pic.scenario_from_dict(cfg, path="inline")
 
     def test_load_scenario_json(self, tmp_path):

@@ -12,7 +12,7 @@ from vmlab import maxwell as mx
 from vmlab import pic
 from vmlab import retarded as rt
 from vmlab.inequalities import SamplerConfig, sample_momenta_xi
-from vmlab.phase import momentum_derived
+from vmlab.phase import embed3, momentum_derived
 
 
 def _random_p_xi(rng, d_p):
@@ -84,6 +84,21 @@ class TestKernelOracle:
             assert np.allclose(k2.bsVector, k3.dbS[2, :2], atol=1e-13)
             # in-plane B response vanishes with p3
             assert abs(k3.bT[0]) < 1e-13 and abs(k3.bT[1]) < 1e-13
+
+    @pytest.mark.parametrize("pmag", [1e2, 1e4, 1e6])
+    def test_planar_reduction_at_large_momentum(self, pmag):
+        # the planar T factor 1 - phat1^2 - phat2^2 = (1 + p3^2)/p0^2 must
+        # not be taken as a difference, which cancels at large |p|
+        rng = np.random.default_rng(int(pmag))
+        for _ in range(20):
+            p, xi = _random_p_xi(rng, 2)
+            p *= pmag / np.linalg.norm(p)
+            k2 = rt.kernel_eval_2d(momentum_derived(p), xi)
+            k3 = rt.kernel_eval_25d(momentum_derived([p[0], p[1], 0.0]), xi)
+            for a, b in ((k3.eT[:2], k2.eT), (k3.bT[2], k2.bT),
+                         (k3.deS[:2, :2], k2.esMatrix),
+                         (k3.dbS[2, :2], k2.bsVector)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_t_kernels_vanish_at_light_speed_limit(self):
         # the planar T kernels carry the factor 1 - |phat|^2
@@ -173,33 +188,77 @@ class TestSlabWeights:
         assert w2[0] == 0.0
 
 
-def _history(t_final=0.6, seed=3):
+def _history(t_final=0.6, seed=3, mode="2d"):
+    f0 = {"sigma_x": 1.0, "alpha": 18.0,
+          "beams": [[0.8, 0.0], [-0.8, 0.0]], "mass": 0.08}
+    if mode == "2.5d":
+        f0["p3_nu"] = 4.0
     scn = pic.scenario_from_dict({
-        "mode": "2d", "grid_n": 48, "box": 20.0, "dt": 0.05,
+        "mode": mode, "grid_n": 48, "box": 20.0, "dt": 0.05,
         "t_final": t_final, "seed": seed, "n_particles": 6000,
         "store_history": True, "gauss_correction": False,
-        "f0": {"sigma_x": 1.0, "alpha": 18.0,
-               "beams": [[0.8, 0.0], [-0.8, 0.0]], "mass": 0.08},
-        "fields0": {},
+        "f0": f0, "fields0": {},
     }, path="inline")
     return pic.run(scn).history
+
+
+def _ring(n=6, radius=2.2):
+    return [(10.0 + radius * math.cos(ang), 10.0 + radius * math.sin(ang))
+            for ang in np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)]
+
+
+def _relative_error(h, t, xs, reps):
+    err_sq = ref_sq = 0.0
+    for x, rep in zip(xs, reps):
+        gE, gB = rt.grid_field_at(h, t, x)
+        d = np.concatenate([rep.total_E - gE, rep.total_B - gB])
+        r = np.concatenate([gE, gB])
+        err_sq += float(d @ d)
+        ref_sq += float(r @ r)
+    return math.sqrt(err_sq / ref_sq)
 
 
 class TestRepresentation:
     def test_matches_grid_solver(self):
         h = _history()
-        xs = [(10.0 + 2.2 * math.cos(ang), 10.0 + 2.2 * math.sin(ang))
-              for ang in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)]
+        xs = _ring()
         reps = rt.field_from_representation(h, 0.6, xs)
         assert len(reps) == len(xs)
-        err_sq = ref_sq = 0.0
-        for x, rep in zip(xs, reps):
-            gE, gB = rt.grid_field_at(h, 0.6, x)
-            d = np.concatenate([rep.total_E - gE, rep.total_B - gB])
-            r = np.concatenate([gE, gB])
-            err_sq += float(d @ d)
-            ref_sq += float(r @ r)
-        assert math.sqrt(err_sq / ref_sq) < 0.05
+        assert _relative_error(h, 0.6, xs, reps) < 0.05
+
+    def test_25d_matches_grid_solver(self):
+        # the 3-momentum cone sums, with in-plane B and E3 from p3 != 0
+        h = _history(mode="2.5d")
+        xs = _ring()
+        reps = rt.field_from_representation(h, 0.6, xs)
+        assert _relative_error(h, 0.6, xs, reps) < 0.01
+
+    def test_planar_history_as_25d(self):
+        # a planar history is the p3 = 0 case of the 3-momentum sums
+        h = _history(t_final=0.3)
+        h25 = pic.RunHistory(mode="2.5d", grid=h.grid, times=h.times,
+                             fields=h.fields, part_x=h.part_x,
+                             part_p=[embed3(p) for p in h.part_p], w=h.w)
+        xs = _ring()
+        for a, b in zip(rt.field_from_representation(h, 0.3, xs),
+                        rt.field_from_representation(h25, 0.3, xs)):
+            for key in ("data_E", "data_B", "E_T", "B_T", "E_S", "B_S"):
+                assert np.array_equal(getattr(a, key), getattr(b, key)), key
+            # K_g takes each mode's own formula, equal up to rounding on
+            # planar fields
+            assert b.ks2_bound == pytest.approx(a.ks2_bound, rel=1e-14)
+
+    def test_probe_time_just_below_a_stored_step(self):
+        # a t inside the 1e-9 match window of a stored time takes the whole
+        # cone of that time, its newest slab included
+        h = _history(t_final=0.3)
+        x = (11.0, 10.0)
+        at = rt.field_from_representation(h, 0.3, x).to_dict()
+        below = rt.field_from_representation(h, 0.3 - 5e-10, x).to_dict()
+        del at["t"], below["t"]
+        assert at == below
+        assert (rt.epsilon_split_eval(h, 0.3, x, 0.1)
+                == rt.epsilon_split_eval(h, 0.3 - 5e-10, x, 0.1))
 
     def test_report_fields(self):
         h = _history(t_final=0.3)
