@@ -283,10 +283,14 @@ def cmd_fields_compare(args) -> int:
     except ValueError as exc:
         print(f"error: {args.probes}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    history = pic.RunHistory.load_npz(hist_path)
+    try:
+        history = pic.RunHistory.load_npz(hist_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     # Probes sharing a t are reconstructed in one call.
-    t_max = max(history.times)
+    t_max = history.times.max()
     by_t = {}
     for i, (t, _) in enumerate(probes):
         if 0 <= t <= t_max + 1e-9:

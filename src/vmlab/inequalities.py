@@ -71,13 +71,10 @@ class IneqReport:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Random sampling plan with toggles for the singular stress regimes."""
+    """Random sampling plan: the seed and the number of (p, xi) draws."""
 
     seed: int = 0
     count: int = 100_000
-    stress_xi: bool = True          # |xi| -> 1 (cone-boundary collar)
-    stress_phat: bool = True        # |phat| -> 1 (large momenta)
-    stress_collision: bool = True   # 1 + phat.xi -> 0 (kernel singularity)
 
     def __post_init__(self):
         if self.count < 1:
@@ -87,30 +84,26 @@ class SamplerConfig:
 def sample_momenta_xi(cfg: SamplerConfig, d_p: int = 3):
     """Random (p, xi) with heavy momentum tails and the stress regimes mixed
     in: a slice with |phat| > 1 - 1e-6, a slice with |xi| > 1 - 1e-6, and a
-    slice with xi nearly antiparallel to phat."""
+    slice with xi nearly antiparallel to phat (1 + phat.xi -> 0), each an
+    eighth of the draws."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.count
+    k = n // 8
     mag = np.exp(rng.uniform(-3.0, 9.0, n))
-    if cfg.stress_phat:
-        k = n // 8
-        mag[:k] = np.exp(rng.uniform(7.0, 20.0, k))   # |phat| > 1 - 1e-6
+    mag[:k] = np.exp(rng.uniform(7.0, 20.0, k))   # |phat| > 1 - 1e-6
     direc = rng.standard_normal((n, d_p))
     direc /= np.linalg.norm(direc, axis=1, keepdims=True)
     p = mag[:, None] * direc
 
     u = rng.random(n)
     xi_mag = np.sqrt(u)
-    if cfg.stress_xi:
-        k = n // 8
-        xi_mag[-k:] = 1.0 - np.exp(rng.uniform(math.log(1e-9), math.log(1e-6), k))
+    xi_mag[n - k:] = 1.0 - np.exp(rng.uniform(math.log(1e-9), math.log(1e-6), k))
     phi = rng.random(n) * 2.0 * np.pi
     xi = xi_mag[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    if cfg.stress_collision:
-        k = n // 8
-        sl = slice(n // 2, n // 2 + k)
-        ph = p[sl, :2]
-        nrm = np.maximum(np.linalg.norm(ph, axis=1, keepdims=True), 1e-300)
-        xi[sl] = -(ph / nrm) * xi_mag[sl, None]
+    sl = slice(n // 2, n // 2 + k)
+    ph = p[sl, :2]
+    nrm = np.maximum(np.linalg.norm(ph, axis=1, keepdims=True), 1e-300)
+    xi[sl] = -(ph / nrm) * xi_mag[sl, None]
     return p, xi
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "Grid",
     "FieldState",
     "SourceDensities",
-    "GaugeState",
     "step_maxwell",
     "constraint_residual",
     "poisson_efield",
@@ -118,13 +117,9 @@ class FieldState:
                 raise ValueError("2d mode requires E3 = B1 = B2 = 0")
 
     @classmethod
-    def zeros(cls, mode: str, grid: Grid, time: float = 0.0) -> "FieldState":
+    def zeros(cls, mode: str, grid: Grid) -> "FieldState":
         z = np.zeros((3, grid.nx, grid.ny))
-        return cls(mode=mode, grid=grid, E=z.copy(), B=z.copy(), time=time)
-
-    def copy(self) -> "FieldState":
-        return FieldState(mode=self.mode, grid=self.grid, E=self.E.copy(),
-                          B=self.B.copy(), time=self.time)
+        return cls(mode=mode, grid=grid, E=z.copy(), B=z.copy())
 
 
 @dataclass
@@ -142,15 +137,6 @@ class SourceDensities:
             raise ValueError("rho shape mismatch")
         if self.j.shape != (3, self.grid.nx, self.grid.ny):
             raise ValueError("j shape mismatch")
-
-
-@dataclass
-class GaugeState:
-    """Out-of-plane vector potential A3 with B1 = d2 A3, B2 = -d1 A3."""
-
-    grid: Grid
-    a3: np.ndarray
-    time: float = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +281,9 @@ def poisson_efield(rho: np.ndarray, grid: Grid) -> np.ndarray:
     return E
 
 
-def gauge_a3(fields: FieldState) -> GaugeState:
-    """Solve lap A3 = d2 B1 - d1 B2 spectrally (mean-zero branch).
+def gauge_a3(fields: FieldState) -> np.ndarray:
+    """The out-of-plane vector potential A3 (nx, ny): solve
+    lap A3 = d2 B1 - d1 B2 spectrally (mean-zero branch).
 
     Only meaningful in 2.5d mode, where B1 = d2 A3 and B2 = -d1 A3.
     """
@@ -308,14 +295,13 @@ def gauge_a3(fields: FieldState) -> GaugeState:
     k2safe = np.where(k2 > 0, k2, 1.0)
     rhs = 1j * ky * _fft2(fields.B[0]) - 1j * kx * _fft2(fields.B[1])
     a3k = np.where(k2 > 0, -rhs / k2safe, 0.0)
-    return GaugeState(grid=g, a3=_ifft2(a3k), time=fields.time)
+    return _ifft2(a3k)
 
 
-def evolve_a3(gauge: GaugeState, e3_mid: np.ndarray, dt: float) -> GaugeState:
+def evolve_a3(a3: np.ndarray, e3_mid: np.ndarray, dt: float) -> np.ndarray:
     """Advance dA3/dt = -E3 by one step; e3_mid is the time-centered E3
     (trapezoid average of the field before and after the Maxwell step)."""
-    return GaugeState(grid=gauge.grid, a3=gauge.a3 - dt * np.asarray(e3_mid),
-                      time=gauge.time + dt)
+    return a3 - dt * e3_mid
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import zipfile
+import zlib
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -249,31 +251,32 @@ def sample_ensemble(scn: Scenario) -> ParticleEnsemble:
                             box=np.array([scn.box, scn.box]))
 
 
-def initial_fields(scn: Scenario, ens: ParticleEnsemble) -> tuple[mx.FieldState, mx.GaugeState | None]:
+def initial_fields(scn: Scenario, rho: np.ndarray) -> tuple[mx.FieldState, np.ndarray | None]:
+    """The t = 0 fields of ``scn.fields0`` and, in 3-momentum mode, the gauge
+    potential A3 of their in-plane B (None in planar mode). ``rho`` is the
+    deposited initial charge, which the Poisson solve reads."""
     grid = scn.grid
     fields = mx.FieldState.zeros(scn.mode, grid)
-    src = deposit(ens, grid)
     if scn.fields0.get("poisson", False):
-        fields.E += mx.poisson_efield(src.rho, grid)
+        fields.E += mx.poisson_efield(rho, grid)
+    if scn.mode == "2d":
+        return fields, None
     xg, yg = grid.mesh()
     c = 0.5 * scn.box
     r2 = (xg - c) ** 2 + (yg - c) ** 2
-    if scn.mode == "2.5d":
-        a3_amp = float(scn.fields0.get("a3_amp", 0.0))
-        if a3_amp:
-            sig = float(scn.fields0.get("a3_sigma", 1.0))
-            a3 = a3_amp * np.exp(-r2 / (2.0 * sig * sig))
-            kx, ky = grid.gradient_wavenumbers()
-            a3k = np.fft.fft2(a3)
-            fields.B[0] = np.fft.ifft2(1j * ky * a3k).real
-            fields.B[1] = -np.fft.ifft2(1j * kx * a3k).real
-        e3_amp = float(scn.fields0.get("e3_amp", 0.0))
-        if e3_amp:
-            sig = float(scn.fields0.get("e3_sigma", 1.0))
-            fields.E[2] = e3_amp * np.exp(-r2 / (2.0 * sig * sig))
-        gauge = mx.gauge_a3(fields)
-        return fields, gauge
-    return fields, None
+    a3_amp = float(scn.fields0.get("a3_amp", 0.0))
+    if a3_amp:
+        sig = float(scn.fields0.get("a3_sigma", 1.0))
+        a3 = a3_amp * np.exp(-r2 / (2.0 * sig * sig))
+        kx, ky = grid.gradient_wavenumbers()
+        a3k = np.fft.fft2(a3)
+        fields.B[0] = np.fft.ifft2(1j * ky * a3k).real
+        fields.B[1] = -np.fft.ifft2(1j * kx * a3k).real
+    e3_amp = float(scn.fields0.get("e3_amp", 0.0))
+    if e3_amp:
+        sig = float(scn.fields0.get("e3_sigma", 1.0))
+        fields.E[2] = e3_amp * np.exp(-r2 / (2.0 * sig * sig))
+    return fields, mx.gauge_a3(fields)
 
 
 # --------------------------------------------------------------------------
@@ -390,12 +393,12 @@ def gather_tsc_grad(grid: mx.Grid, arr: np.ndarray, x: np.ndarray):
     return val, np.stack([gx, gy], axis=-1)
 
 
-def make_field_sampler(fields: mx.FieldState, gauge: mx.GaugeState | None = None):
+def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None = None):
     """Field sampler (t, x) -> (E, B) for the particle push, frozen in time.
 
     Planar-momentum mode gathers with CIC. 3-momentum mode gathers E and B3
     with the quadratic spline and reconstructs the in-plane B from the exact
-    gradient of the interpolated gauge potential A3.
+    gradient of the interpolated gauge potential ``a3`` (nx, ny).
     """
     grid = fields.grid
     if fields.mode == "2d":
@@ -410,14 +413,14 @@ def make_field_sampler(fields: mx.FieldState, gauge: mx.GaugeState | None = None
             return (E.reshape(x.shape[:-1] + (3,)),
                     B.reshape(x.shape[:-1] + (3,)))
         return sampler
-    if gauge is None:
-        raise ValueError("3-momentum mode requires the gauge state")
+    if a3 is None:
+        raise ValueError("3-momentum mode requires the gauge potential A3")
     e_b3 = np.concatenate([fields.E, fields.B[2:]])
 
     def sampler(t, x):
         xs = x.reshape(-1, 2)
         e1, e2, e3, b3 = gather_tsc(grid, e_b3, xs)
-        _, grad_a3 = gather_tsc_grad(grid, gauge.a3, xs)
+        _, grad_a3 = gather_tsc_grad(grid, a3, xs)
         E = np.stack([e1, e2, e3], axis=-1)
         B = np.stack([grad_a3[:, 1], -grad_a3[:, 0], b3], axis=-1)
         return (E.reshape(x.shape[:-1] + (3,)),
@@ -456,56 +459,79 @@ class DiagnosticSeries:
         return cls(columns=columns, data=np.asarray(rows))
 
 
+# keys of history.npz, in the order save_npz writes them
+_HISTORY_KEYS = ("mode", "grid", "times", "E", "B", "part_x", "part_p", "w")
+
+
 @dataclass
 class RunHistory:
-    """Per-step state store for cone integrations and field comparisons."""
+    """The stored steps of a run as in ``history.npz``, row k at ``times[k]``:
+    ``times`` (k,), ``E`` and ``B`` (k, 3, nx, ny), ``part_x`` (k, n, 2),
+    ``part_p`` (k, n, 2 in 2d mode, else 3) and the weights ``w`` (n,). With
+    k and n read from ``times`` and ``w``, a misshapen array raises
+    ValueError naming it."""
 
     mode: str
     grid: mx.Grid
-    times: list = field(default_factory=list)
-    fields: list = field(default_factory=list)       # FieldState per step
-    part_x: list = field(default_factory=list)       # (n, 2) per step
-    part_p: list = field(default_factory=list)       # (n, d_p) per step
-    w: np.ndarray | None = None
+    times: np.ndarray
+    E: np.ndarray
+    B: np.ndarray
+    part_x: np.ndarray
+    part_p: np.ndarray
+    w: np.ndarray
 
-    def record(self, t, fields, ens):
-        self.times.append(float(t))
-        self.fields.append(fields.copy())
-        self.part_x.append(ens.x.copy())
-        self.part_p.append(ens.p.copy())
-        if self.w is None:
-            self.w = ens.w.copy()
+    def __post_init__(self):
+        if self.mode not in mx.MODES:
+            raise ValueError(f"mode: must be one of {mx.MODES}, got {self.mode!r}")
+        k, n, g = np.size(self.times), np.size(self.w), self.grid
+        shapes = {"times": (k,), "E": (k, 3, g.nx, g.ny),
+                  "B": (k, 3, g.nx, g.ny), "part_x": (k, n, 2),
+                  "part_p": (k, n, 2 if self.mode == "2d" else 3), "w": (n,)}
+        for key, shape in shapes.items():
+            arr = np.asarray(getattr(self, key))
+            if arr.shape != shape or arr.dtype.kind not in "iuf":
+                raise ValueError(f"{key}: must be a numeric array of shape "
+                                 f"{shape}, got {arr.dtype} {arr.shape}")
+            setattr(self, key, arr)
+
+    def record(self, k: int, t: float, fields: mx.FieldState,
+               ens: ParticleEnsemble) -> None:
+        """Write the state at time t into row k."""
+        self.times[k] = t
+        self.E[k] = fields.E
+        self.B[k] = fields.B
+        self.part_x[k] = ens.x
+        self.part_p[k] = ens.p
 
     def save_npz(self, path) -> None:
+        g = self.grid
         np.savez_compressed(
-            path,
-            mode=self.mode,
-            grid=np.array([self.grid.nx, self.grid.ny, self.grid.lx, self.grid.ly]),
-            times=np.asarray(self.times),
-            E=np.stack([f.E for f in self.fields]),
-            B=np.stack([f.B for f in self.fields]),
-            part_x=np.stack(self.part_x),
-            part_p=np.stack(self.part_p),
-            w=self.w,
-        )
+            path, mode=self.mode, grid=np.array([g.nx, g.ny, g.lx, g.ly]),
+            times=self.times, E=self.E, B=self.B, part_x=self.part_x,
+            part_p=self.part_p, w=self.w)
 
     @classmethod
     def load_npz(cls, path) -> "RunHistory":
-        # Each z[key] decompresses the whole stack again, so every array is
-        # read once and the stored steps are views into it.
-        with np.load(path) as z:
-            g, mode, times, w, E, B, X, P = (
-                z[key] for key in ("grid", "mode", "times", "w", "E", "B",
-                                   "part_x", "part_p"))
-        grid = mx.Grid(nx=int(g[0]), ny=int(g[1]), lx=float(g[2]), ly=float(g[3]))
-        mode = str(mode)
-        hist = cls(mode=mode, grid=grid, w=w)
-        hist.times = [float(t) for t in times]
-        hist.fields = [mx.FieldState(mode=mode, grid=grid, E=E[k], B=B[k], time=t)
-                       for k, t in enumerate(hist.times)]
-        hist.part_x = list(X)
-        hist.part_p = list(P)
-        return hist
+        """Read a ``save_npz`` archive; a file that is not one, or a missing,
+        unreadable or misshapen key, raises ValueError naming path and key."""
+        a, key = {}, None
+        try:
+            with np.load(path) as z:
+                for key in _HISTORY_KEYS:
+                    a[key] = z[key]
+            key = "grid"
+            nx, ny, lx, ly = a.pop(key)
+            grid = mx.Grid(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly))
+        except KeyError:
+            raise ValueError(f"{path}: missing key {key!r}") from None
+        except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            what = repr(key) if key else f"an .npz archive of {_HISTORY_KEYS}"
+            raise ValueError(f"{path}: cannot read {what} ({exc})") from None
+        try:
+            return cls(mode=str(a.pop("mode")), grid=grid, **a)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -514,10 +540,8 @@ class RunResult:
     series: DiagnosticSeries
     ensemble: ParticleEnsemble
     fields: mx.FieldState
-    gauge: mx.GaugeState | None
     history: RunHistory | None
     tracer_invariant: np.ndarray | None   # (n_samples, n_tracers) V3 + A3
-    initial_energy: float
 
 
 # --------------------------------------------------------------------------
@@ -525,24 +549,25 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 
-def _diag_row(t, fields, ens, src, scn, tracer_inv_drift, dim_p):
+def _diag_row(t, fields, ens, src, scn, tracer_inv_drift) -> list:
+    """One diagnostics row as (column name, value) pairs, time first."""
     resE, resB = mx.constraint_residual(fields, src.rho)
     kmag = np.sqrt(np.sum(fields.E ** 2 + fields.B ** 2, axis=0))
-    row = [t,
-           mx.energy(fields, ens),
-           mx.field_energy(fields),
-           resE, resB,
-           4.0 * np.pi * float(np.sum(ens.w)),
-           float(src.rho.max()) if src.rho.size else 0.0,
-           float(kmag.max())]
-    n_exp = scn.moment_orders
+    row = [("time", t), ("energy", mx.energy(fields, ens)),
+           ("field_energy", mx.field_energy(fields)),
+           ("gauss_residual", resE), ("divb_residual", resB),
+           ("total_charge", 4.0 * np.pi * float(np.sum(ens.w))),
+           ("rho_max", float(src.rho.max())),
+           ("k_linf", float(kmag.max()))]
     p0 = ens.p0
-    for N in n_exp:
-        row.append(float(np.sum(ens.w * p0 ** N)))
-        q = N + dim_p
-        row.append(float((np.sum(kmag ** q) * fields.grid.cell) ** (1.0 / q)))
-    row.append(tracer_inv_drift)
-    if dim_p == 3:
+    for N in scn.moment_orders:
+        q = N + scn.dim_p
+        row.append((f"moment_{N:g}", float(np.sum(ens.w * p0 ** N))))
+        row.append((f"k_l{q:g}",
+                    float((np.sum(kmag ** q) * fields.grid.cell) ** (1.0 / q))))
+    row.append(("tracer_invariant_drift", tracer_inv_drift))
+    line_bound = 0.0
+    if scn.dim_p == 3:
         # proxy for the heaviest out-of-plane line integral: the max over a
         # coarse spatial binning of sum w <p3>^(5+delta) / cell
         nb = 16
@@ -552,21 +577,9 @@ def _diag_row(t, fields, ens, src, scn, tracer_inv_drift, dim_p):
         p3w = ens.w * (1.0 + ens.p[:, 2] ** 2) ** ((5.0 + scn.delta) / 2.0)
         np.add.at(acc, (ix, iy), p3w)
         cell = (scn.box / nb) ** 2
-        row.append(float(acc.max()) / cell)
-    else:
-        row.append(0.0)
+        line_bound = float(acc.max()) / cell
+    row.append(("p3_line_bound", line_bound))
     return row
-
-
-def _columns(scn: Scenario) -> list:
-    cols = ["time", "energy", "field_energy", "gauss_residual", "divb_residual",
-            "total_charge", "rho_max", "k_linf"]
-    for N in scn.moment_orders:
-        cols.append(f"moment_{N:g}")
-        cols.append(f"k_l{N + scn.dim_p:g}")
-    cols.append("tracer_invariant_drift")
-    cols.append("p3_line_bound")
-    return cols
 
 
 def run(scn: Scenario) -> RunResult:
@@ -576,41 +589,44 @@ def run(scn: Scenario) -> RunResult:
         raise ValueError(f"dt={scn.dt} violates the step bound "
                          f"dt <= h = {min(grid.hx, grid.hy)}")
     ens = sample_ensemble(scn)
-    fields, gauge = initial_fields(scn, ens)
+    src = deposit(ens, grid)
+    fields, a3 = initial_fields(scn, src.rho)
     dim_p = scn.dim_p
     box = np.array([scn.box, scn.box])
 
     n_steps = int(round(scn.t_final / scn.dt))
-    history = RunHistory(mode=scn.mode, grid=grid) if scn.store_history else None
+    history = None
+    if scn.store_history:
+        k, n, shape = n_steps + 1, len(ens), (3, grid.nx, grid.ny)
+        history = RunHistory(
+            mode=scn.mode, grid=grid, times=np.zeros(k),
+            E=np.zeros((k,) + shape), B=np.zeros((k,) + shape),
+            part_x=np.zeros((k, n, 2)), part_p=np.zeros((k, n, dim_p)),
+            w=ens.w.copy())
 
-    n_tr = min(scn.n_tracers, len(ens)) if gauge is not None else 0
+    n_tr = min(scn.n_tracers, len(ens)) if a3 is not None else 0
     tracer_rows = []
 
     def tracer_invariant():
-        a3 = gather_tsc(grid, gauge.a3, ens.x[:n_tr])
-        return ens.p[:n_tr, 2] + a3
+        return ens.p[:n_tr, 2] + gather_tsc(grid, a3, ens.x[:n_tr])
 
-    rows = []
     t = 0.0
-    src = deposit(ens, grid)
     if n_tr:
         inv0 = tracer_invariant()
         tracer_rows.append(inv0)
     if history is not None:
-        history.record(t, fields, ens)
-    rows.append(_diag_row(t, fields, ens, src, scn, 0.0, dim_p))
-    e0 = mx.energy(fields, ens)
+        history.record(0, t, fields, ens)
+    rows = [_diag_row(t, fields, ens, src, scn, 0.0)]
 
     for step in range(n_steps):
         # half field step with the current at t
         fields_half = mx.step_maxwell(fields, src, 0.5 * scn.dt)
         # full particle step with the time-centered fields
-        if gauge is not None:
+        a3_half = None
+        if a3 is not None:
             e3_mid = 0.5 * (fields.E[2] + fields_half.E[2])
-            gauge_half = mx.evolve_a3(gauge, e3_mid, 0.5 * scn.dt)
-        else:
-            gauge_half = None
-        sampler = make_field_sampler(fields_half, gauge_half)
+            a3_half = mx.evolve_a3(a3, e3_mid, 0.5 * scn.dt)
+        sampler = make_field_sampler(fields_half, a3_half)
         xn, pn = chars.push_many(ens.x, ens.p, sampler, t, scn.dt)
         xn = wrap_box(xn, box)
         ens = ParticleEnsemble(dim_p=dim_p, x=xn, p=pn, w=ens.w, box=box)
@@ -627,28 +643,30 @@ def run(scn: Scenario) -> RunResult:
             el = mx.poisson_efield(src.rho, grid)
             fields.E[0] += el[0] - np.fft.ifft2(kx * par).real
             fields.E[1] += el[1] - np.fft.ifft2(ky * par).real
-        if gauge is not None:
+        if a3 is not None:
             e3_mid = 0.5 * (fields_half.E[2] + fields.E[2])
-            gauge = mx.evolve_a3(gauge_half, e3_mid, 0.5 * scn.dt)
-        t += scn.dt
+            a3 = mx.evolve_a3(a3_half, e3_mid, 0.5 * scn.dt)
+        # one clock: step k is at k * dt, not at a sum of k increments
+        t = (step + 1) * scn.dt
+        fields.time = t
         if not (np.all(np.isfinite(ens.p)) and np.all(np.isfinite(fields.E))):
             raise FloatingPointError(f"non-finite state at t={t}")
 
         if history is not None:
-            history.record(t, fields, ens)
+            history.record(step + 1, t, fields, ens)
         if (step + 1) % scn.diagnostic_every == 0 or step == n_steps - 1:
             drift = 0.0
             if n_tr:
                 inv = tracer_invariant()
                 tracer_rows.append(inv)
                 drift = float(np.abs(inv - inv0).max())
-            rows.append(_diag_row(t, fields, ens, src, scn, drift, dim_p))
+            rows.append(_diag_row(t, fields, ens, src, scn, drift))
 
-    series = DiagnosticSeries(columns=_columns(scn), data=np.asarray(rows))
+    series = DiagnosticSeries(columns=[name for name, _ in rows[0]],
+                              data=np.asarray([[v for _, v in r] for r in rows]))
     tracer_inv = np.asarray(tracer_rows) if tracer_rows else None
     return RunResult(scenario=scn, series=series, ensemble=ens, fields=fields,
-                     gauge=gauge, history=history, tracer_invariant=tracer_inv,
-                     initial_energy=e0)
+                     history=history, tracer_invariant=tracer_inv)
 
 
 # --------------------------------------------------------------------------

@@ -350,7 +350,6 @@ def _min_image(d: np.ndarray, box: np.ndarray) -> np.ndarray:
 def _cone_slabs(times, t: float):
     """Per-step slab boundaries (tau_lo, tau_hi) covering [0, t] with each
     stored step owning the half-intervals to its neighbors."""
-    times = np.asarray(times, dtype=float)
     out = []
     for k, s in enumerate(times):
         if s > t + 1e-12:
@@ -441,37 +440,33 @@ class _ConeSums:
 
 
 def _history_index(history: "pic.RunHistory", t: float) -> int:
-    times = np.asarray(history.times)
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9:
+    k = int(np.argmin(np.abs(history.times - t)))
+    if abs(history.times[k] - t) > 1e-9:
         raise ValueError(f"history does not store the probe time t={t}")
     return k
 
 
 def _free_positions(history: "pic.RunHistory", k: int, box: np.ndarray):
     """Force-free trajectories from the initial ensemble: straight lines with
-    the initial velocities, wrapped into the box."""
-    x0 = history.part_x[0]
+    the initial velocities, wrapped into the box: (k + 1, n, 2)."""
     p = history.part_p[0]
     phat = p[:, :2] / p0_of(p)[:, None]
-    out = []
-    for j in range(k + 1):
-        out.append(pic.wrap_box(x0 + history.times[j] * phat, box))
-    return out
+    return pic.wrap_box(
+        history.part_x[0] + history.times[:k + 1, None, None] * phat, box)
 
 
-def _free_field_rerun(history: "pic.RunHistory", k: int, free_x, w):
+def _free_field_rerun(history: "pic.RunHistory", k: int, free_x):
     """Grid Maxwell evolution from the stored initial fields with the currents
     of the force-free flow, using the same split-step structure as the PIC
     loop (half step with the old current, half step with the new one)."""
     grid = history.grid
-    dim_p = history.part_p[0].shape[1]
+    dim_p = history.part_p.shape[2]
     box = np.array([grid.lx, grid.ly])
-    fields = history.fields[0].copy()
+    fields = mx.FieldState(history.mode, grid, history.E[0], history.B[0])
 
     def src_at(j):
-        ens = pic.ParticleEnsemble(dim_p=dim_p, x=free_x[j],
-                                   p=history.part_p[0], w=w, box=box)
+        ens = pic.ParticleEnsemble(dim_p=dim_p, x=free_x[j], w=history.w,
+                                   p=history.part_p[0], box=box)
         return pic.deposit(ens, grid)
 
     src = src_at(0)
@@ -483,16 +478,17 @@ def _free_field_rerun(history: "pic.RunHistory", k: int, free_x, w):
     return fields
 
 
-def _gather_eb(st: mx.FieldState, xs: np.ndarray):
-    """CIC gather of E and B at positions (n, 2) in one call: two (n, 3)."""
-    eb = pic.gather_cic(st.grid, np.concatenate([st.E, st.B]), xs).T
+def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
+    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3)."""
+    eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
     return eb[:, :3], eb[:, 3:]
 
 
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
-    st = history.fields[_history_index(history, t)]
-    E, B = _gather_eb(st, np.asarray(x, dtype=float).reshape(1, 2))
+    k = _history_index(history, t)
+    E, B = _gather_eb(history.grid, history.E[k], history.B[k],
+                      np.asarray(x, dtype=float).reshape(1, 2))
     return E[0], B[0]
 
 
@@ -554,7 +550,7 @@ def field_from_representation(history: "pic.RunHistory", t: float, x):
     k = _history_index(history, t)
     box = np.array([history.grid.lx, history.grid.ly])
     free_x = _free_positions(history, k, box)
-    g_fields = _free_field_rerun(history, k, free_x, history.w)
+    g_fields = _free_field_rerun(history, k, free_x)
     # the cone ends at the stored time the probe t was matched to
     slabs = _cone_slabs(history.times, float(history.times[k]))
     reports = [_probe_report(history, t, probe, box, slabs, free_x, g_fields)
@@ -574,7 +570,8 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         c = _cone_rows(X, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
             P = history.part_p[j][c.idx]
-            E, B = _gather_eb(history.fields[j], X[c.idx])
+            E, B = _gather_eb(history.grid, history.E[j], history.B[j],
+                              X[c.idx])
             p3 = embed3(P)
             force = E + np.cross(p3 / p0_of(p3)[:, None], B)
             kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
@@ -584,7 +581,8 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         if c.idx.size:
             free_sums.add_step(c, history.part_p[0][c.idx], w[c.idx])
 
-    g_E, g_B = _gather_eb(g_fields, probe.reshape(1, 2))
+    g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B,
+                          probe.reshape(1, 2))
     return RepresentationReport(
         t=t, x=probe,
         data_E=g_E[0] - free_sums.E_T, data_B=g_B[0] - free_sums.B_T,

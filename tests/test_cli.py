@@ -4,9 +4,11 @@ integrity, and override handling."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vmlab import cli, pic
+from vmlab.phase import embed3
 from vmlab import retarded as rt
 
 
@@ -192,6 +194,35 @@ class TestFieldsCompare:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "sits on a particle" in err
+
+    @pytest.mark.parametrize("damage,message", [
+        ("junk", "cannot read an .npz archive of ('mode', 'grid', 'times', "
+                 "'E', 'B', 'part_x', 'part_p', 'w')"),
+        ("no_part_p", "missing key 'part_p'"),
+        ("part_p_3d", "part_p: must be a numeric array of shape (7, 1500, 2), "
+                      "got float64 (7, 1500, 3)"),
+    ], ids=["junk", "no_part_p", "part_p_3d"])
+    def test_malformed_history_is_usage_error(self, history_run, tmp_path,
+                                              capsys, damage, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        hist = run_dir / "history.npz"
+        if damage == "junk":
+            hist.write_bytes(b"not an archive\n")
+        else:
+            with np.load(history_run / "history.npz") as z:
+                arrays = dict(z)
+            if damage == "no_part_p":
+                del arrays["part_p"]
+            else:
+                arrays["part_p"] = embed3(arrays["part_p"])
+            np.savez_compressed(hist, **arrays)
+        probes = self._probes(tmp_path, [{"t": 0.3, "x": [10.0, 10.0]}])
+        assert run_cli("fields-compare", str(run_dir),
+                       "--probes", str(probes)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"{hist}: " in err and message in err
 
     def test_missing_history(self, small_scenario, tmp_path):
         out = tmp_path / "nohist"

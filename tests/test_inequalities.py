@@ -209,3 +209,10 @@ class TestSamplers:
         assert np.max(np.linalg.norm(phat, axis=1)) > 1.0 - 1e-6
         assert np.max(np.linalg.norm(xi, axis=1)) > 1.0 - 1e-6
         assert np.all(np.linalg.norm(xi, axis=1) <= 1.0)
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_fewer_draws_than_eight(self, count):
+        # each stress slice is count // 8 draws, so none here
+        p, xi = ineq.sample_momenta_xi(ineq.SamplerConfig(seed=0, count=count))
+        assert p.shape == (count, 3) and xi.shape == (count, 2)
+        assert np.all(np.linalg.norm(xi, axis=1) <= 1.0)

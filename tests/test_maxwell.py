@@ -187,8 +187,7 @@ class TestGauge:
         st_ = mx.FieldState.zeros("2.5d", g)
         st_.B[0] = np.fft.ifft2(1j * ky * a3k).real
         st_.B[1] = -np.fft.ifft2(1j * kx * a3k).real
-        gauge = mx.gauge_a3(st_)
-        assert np.abs(gauge.a3 - (a3 - a3.mean())).max() < 1e-10
+        assert np.abs(mx.gauge_a3(st_) - (a3 - a3.mean())).max() < 1e-10
 
     def test_rejected_in_planar_mode(self):
         st_ = mx.FieldState.zeros("2d", _grid(8))
@@ -196,11 +195,8 @@ class TestGauge:
             mx.gauge_a3(st_)
 
     def test_evolve_a3(self):
-        g = _grid(8)
-        gauge = mx.GaugeState(grid=g, a3=np.ones((8, 8)), time=0.0)
-        out = mx.evolve_a3(gauge, np.full((8, 8), 2.0), 0.25)
-        assert np.allclose(out.a3, 0.5)
-        assert out.time == 0.25
+        out = mx.evolve_a3(np.ones((8, 8)), np.full((8, 8), 2.0), 0.25)
+        assert np.allclose(out, 0.5)
 
 
 vec3 = st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3)

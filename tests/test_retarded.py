@@ -2,6 +2,7 @@
 differentiation, majorant constants, the cone quadrature oracle, slab
 weights, and the field representation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,19 @@ def _history(t_final=0.6, seed=3, mode="2d"):
     return pic.run(scn).history
 
 
+def _two_step_history(x_first, x_last):
+    """A 2d history of two particles at the steps t = 0 and 0.05 on zero
+    fields, at the positions x_first (2, 2), then x_last: the first at rest,
+    the second with p = (0.3, 0)."""
+    grid = mx.Grid(16, 16, 20.0, 20.0)
+    part_x = np.array([x_first, x_last], dtype=float)
+    p = np.array([[0.0, 0.0], [0.3, 0.0]])
+    zeros = np.zeros((2, 3, 16, 16))
+    return pic.RunHistory(mode="2d", grid=grid, times=np.array([0.0, 0.05]),
+                          E=zeros, B=zeros, part_x=part_x,
+                          part_p=np.stack([p, p]), w=np.full(2, 0.01))
+
+
 def _ring(n=6, radius=2.2):
     return [(10.0 + radius * math.cos(ang), 10.0 + radius * math.sin(ang))
             for ang in np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)]
@@ -236,9 +250,7 @@ class TestRepresentation:
     def test_planar_history_as_25d(self):
         # a planar history is the p3 = 0 case of the 3-momentum sums
         h = _history(t_final=0.3)
-        h25 = pic.RunHistory(mode="2.5d", grid=h.grid, times=h.times,
-                             fields=h.fields, part_x=h.part_x,
-                             part_p=[embed3(p) for p in h.part_p], w=h.w)
+        h25 = dataclasses.replace(h, mode="2.5d", part_p=embed3(h.part_p))
         xs = _ring()
         for a, b in zip(rt.field_from_representation(h, 0.3, xs),
                         rt.field_from_representation(h25, 0.3, xs)):
@@ -280,14 +292,8 @@ class TestRepresentation:
     def test_free_flow_wraps_tiny_negative_position(self):
         # a particle at rest at x = -1e-17: the plain remainder wraps it to
         # exactly the box length, which the force-free deposit rejects
-        grid = mx.Grid(16, 16, 20.0, 20.0)
-        h = pic.RunHistory(mode="2d", grid=grid)
-        x0 = np.array([[-1e-17, 5.0], [10.0, 10.0]])
-        h.times = [0.0, 0.05]
-        h.fields = [mx.FieldState.zeros("2d", grid, time=t) for t in h.times]
-        h.part_x = [x0, x0]
-        h.part_p = [np.array([[0.0, 0.0], [0.3, 0.0]])] * 2
-        h.w = np.full(2, 0.01)
+        x0 = [[-1e-17, 5.0], [10.0, 10.0]]
+        h = _two_step_history(x0, x0)
         rep = rt.field_from_representation(h, 0.05, (10.01, 10.0))
         assert np.all(np.isfinite(rep.total_E))
 
@@ -314,14 +320,7 @@ class TestRepresentation:
     def test_probe_on_particle_is_rejected(self, x_first, x_last):
         # a resting particle at the probe in the newest slab: the
         # point-particle T integral diverges like 1/r there
-        grid = mx.Grid(16, 16, 20.0, 20.0)
-        h = pic.RunHistory(mode="2d", grid=grid)
-        h.times = [0.0, 0.05]
-        h.fields = [mx.FieldState.zeros("2d", grid, time=t) for t in h.times]
-        h.part_x = [np.array([x_first, [5.0, 5.0]]),
-                    np.array([x_last, [5.0, 5.0]])]
-        h.part_p = [np.array([[0.0, 0.0], [0.3, 0.0]])] * 2
-        h.w = np.full(2, 0.01)
+        h = _two_step_history([x_first, [5.0, 5.0]], [x_last, [5.0, 5.0]])
         with pytest.raises(ValueError, match=r"t=0\.05 x=\[10\.0, 10\.0\]"):
             rt.field_from_representation(h, 0.05, (10.0, 10.0))
 
