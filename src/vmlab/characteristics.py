@@ -9,8 +9,11 @@ with the planar ansatz: positions live in R^2 while momenta are 2-vectors
 
 The single-step integrator is a symmetric Boris-type split
 (half drift, half electric kick, exact magnetic rotation, half kick, half
-drift) with fields sampled at the midpoint time; the rotation is an exact
-Rodrigues rotation so magnetic forces conserve |V| to machine precision.
+drift) with fields sampled at the midpoint time. With planar momenta the
+rotation turns (V1, V2) in the plane by the angle B3 dt / V0; with
+3-momenta it is a Rodrigues rotation about B by |B| dt / V0. Either way
+magnetic forces conserve |V| to machine precision, and the planar step is
+bit for bit the 3-momentum step at V3 = 0.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ class FieldSampler(Protocol):
     """Evaluation contract (t, x) -> (E, B) with 3-component field vectors.
 
     x has shape (..., 2); E and B have shape (..., 3). Planar-momentum mode
-    requires E = (E1, E2, 0) and B = (0, 0, B3).
+    requires E = (E1, E2, 0) and B = (0, 0, B3), and reads only E[..., :2]
+    and B[..., 2].
     """
 
     def __call__(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
@@ -94,29 +98,33 @@ def push_many(x: np.ndarray, p: np.ndarray, fields: FieldSampler, t: float,
     x: (..., 2) positions, p: (..., d_p) momenta at time t.
     Returns (x, p) at time t + dt.
     """
-    d_p = p.shape[-1]
     p0 = p0_of(p)
     xh = x + (0.5 * dt) * (p[..., :2] / p0[..., None])
     E, B = fields(t + 0.5 * dt, xh)
-    E = np.broadcast_to(np.asarray(E, dtype=float), xh.shape[:-1] + (3,))
-    B = np.broadcast_to(np.asarray(B, dtype=float), xh.shape[:-1] + (3,))
-
-    pm = p + (0.5 * dt) * E[..., :d_p]
-    bmag = np.sqrt(np.sum(B * B, axis=-1))
-    active = bmag > 0.0
-    if np.any(active):
-        p3 = embed3(pm)
-        p0m = p0_of(pm)
-        safe = np.where(active, bmag, 1.0)
-        axis = B / safe[..., None]
-        angle = np.where(active, bmag * dt / p0m, 0.0)
-        rot = _rotate_about(p3, axis, angle)
-        pp = np.where(active[..., None], rot[..., :d_p], pm)
+    if p.shape[-1] == 2:
+        # B = (0, 0, B3) turns (p1, p2) in the plane by B3 dt / p0
+        e = np.asarray(E, dtype=float)[..., :2]
+        pm = p + (0.5 * dt) * e
+        theta = np.asarray(B, dtype=float)[..., 2] * dt / p0_of(pm)
+        c, s = np.cos(theta), np.sin(theta)
+        pp = np.stack([c * pm[..., 0] + s * pm[..., 1],
+                       c * pm[..., 1] - s * pm[..., 0]], axis=-1)
+        pn = pp + (0.5 * dt) * e
     else:
-        pp = pm
-    pn = pp + (0.5 * dt) * E[..., :d_p]
-    p0n = p0_of(pn)
-    xn = xh + (0.5 * dt) * (pn[..., :2] / p0n[..., None])
+        E = np.broadcast_to(np.asarray(E, dtype=float), xh.shape[:-1] + (3,))
+        B = np.broadcast_to(np.asarray(B, dtype=float), xh.shape[:-1] + (3,))
+        pm = p + (0.5 * dt) * E
+        bmag = np.sqrt(np.sum(B * B, axis=-1))
+        active = bmag > 0.0
+        if np.any(active):
+            safe = np.where(active, bmag, 1.0)
+            angle = np.where(active, bmag * dt / p0_of(pm), 0.0)
+            rot = _rotate_about(pm, B / safe[..., None], angle)
+            pp = np.where(active[..., None], rot, pm)
+        else:
+            pp = pm
+        pn = pp + (0.5 * dt) * E
+    xn = xh + (0.5 * dt) * (pn[..., :2] / p0_of(pn)[..., None])
     return xn, pn
 
 

@@ -212,6 +212,11 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from {_SUITES}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.count < 3:
+        # flux_identity_suite checks a third of its draws on the planar ansatz
+        print(f"error: --count must be at least 3, got {args.count}",
+              file=sys.stderr)
+        return EXIT_USAGE
     jobs = {
         "identities": _suite_identities,
         "geometry": _suite_geometry,
@@ -385,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("suite", help=f"one of {_SUITES}")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--count", type=int, default=100_000)
+    pv.add_argument("--count", type=int, default=100_000,
+                    help="samples per suite, at least 3")
     pv.add_argument("--out", default=None, help="JSON report file")
     pv.set_defaults(func=cmd_verify)
 

@@ -144,7 +144,15 @@ class Scenario:
             v = getattr(self, head)[leaf] if leaf else getattr(self, key)
             if not ok(v):
                 raise ValueError(f"{key}: must be {need}, got {v!r}")
+        steps = self.t_final / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"t_final: must be a whole number of steps "
+                             f"of dt = {self.dt!r}, got {self.t_final!r}")
         self.moment_orders = tuple(float(N) for N in self.moment_orders)
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_final / self.dt)
 
     @property
     def dim_p(self) -> int:
@@ -594,7 +602,7 @@ def run(scn: Scenario) -> RunResult:
     dim_p = scn.dim_p
     box = np.array([scn.box, scn.box])
 
-    n_steps = int(round(scn.t_final / scn.dt))
+    n_steps = scn.n_steps
     history = None
     if scn.store_history:
         k, n, shape = n_steps + 1, len(ens), (3, grid.nx, grid.ny)
@@ -649,8 +657,12 @@ def run(scn: Scenario) -> RunResult:
         # one clock: step k is at k * dt, not at a sum of k increments
         t = (step + 1) * scn.dt
         fields.time = t
-        if not (np.all(np.isfinite(ens.p)) and np.all(np.isfinite(fields.E))):
-            raise FloatingPointError(f"non-finite state at t={t}")
+        state = {"x": ens.x, "p": ens.p, "E": fields.E, "B": fields.B}
+        if a3 is not None:
+            state["A3"] = a3
+        bad = [name for name, a in state.items() if not np.isfinite(a).all()]
+        if bad:
+            raise FloatingPointError(f"non-finite {', '.join(bad)} at t={t}")
 
         if history is not None:
             history.record(step + 1, t, fields, ens)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmlab import characteristics as chars
+from vmlab.phase import embed3
 
 
 def zero_fields(t, x):
@@ -69,6 +70,33 @@ class TestMagneticRotation:
             x, p = chars.push_many(x, p, uniform_b(b3), 0.0, dt)
         ang = -b3 * n * dt / p0
         assert np.allclose(p[0], [math.cos(ang), math.sin(ang)], atol=1e-4)
+
+
+class TestPlanarRotation:
+    @pytest.mark.parametrize("dt", [0.05, -0.05, 0.3])
+    def test_bit_identical_to_3_momentum_path(self, dt):
+        # the planar branch turns (p1, p2) by B3 dt / p0; the Rodrigues
+        # rotation of the 3-momentum path at p3 = 0 is its oracle
+        rng = np.random.default_rng(8)
+        n = 4000
+        x = rng.random((n, 2)) * 20.0
+        p = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-3, 2, (n, 1))
+        e = rng.standard_normal((n, 2))
+        b3 = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2, n)
+        b3[::7] = 0.0
+        assert (b3 > 0).any() and (b3 < 0).any()
+
+        def fields(t, xh):
+            z = np.zeros(len(xh))
+            return (np.stack([e[:, 0], e[:, 1], z], axis=-1),
+                    np.stack([z, z, b3], axis=-1))
+
+        xn, pn = chars.push_many(x, p, fields, 0.0, dt)
+        x3, p3 = chars.push_many(x, embed3(p), fields, 0.0, dt)
+        assert pn.shape == (n, 2)
+        assert np.array_equal(xn, x3)
+        assert np.array_equal(pn, p3[:, :2])
+        assert np.array_equal(p3[:, 2], np.zeros(n))
 
 
 class TestElectricKick:

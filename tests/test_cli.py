@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vmlab import cli, pic
+from vmlab import maxwell as mx
 from vmlab.phase import embed3
 from vmlab import retarded as rt
 
@@ -96,9 +97,51 @@ class TestSimulate:
                        "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
 
     def test_unstable_dt_is_run_failure(self, small_scenario, tmp_path):
+        # dt = 0.3 divides t_final but exceeds the cell size 20 / 128
         assert run_cli("simulate", str(small_scenario),
                        "--out", str(tmp_path / "o"),
-                       "--dt", "2.0") == cli.EXIT_FAIL
+                       "--grid", "128", "--dt", "0.3") == cli.EXIT_FAIL
+
+    def test_t_final_off_the_step_grid_is_usage_error(self, small_scenario,
+                                                      tmp_path, capsys):
+        cfg = json.loads(small_scenario.read_text())
+        cfg["t_final"] = 0.07                 # 1.4 steps of 0.05
+        f = tmp_path / "off.json"
+        f.write_text(json.dumps(cfg))
+        assert run_cli("simulate", str(f),
+                       "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+        assert "t_final: must be a whole number of steps" in \
+            capsys.readouterr().err
+        # t_final 0.3 is no whole number of steps of an overriding dt
+        assert run_cli("simulate", str(small_scenario),
+                       "--out", str(tmp_path / "o"),
+                       "--dt", "0.07") == cli.EXIT_USAGE
+        assert "t_final" in capsys.readouterr().err
+
+    def test_nonfinite_field_is_run_failure(self, small_scenario, tmp_path,
+                                            monkeypatch, capsys):
+        # one step: the second Maxwell half-step ends it with a non-finite
+        # B1, which neither the particles nor E see within the step
+        cfg = json.loads(small_scenario.read_text())
+        cfg["t_final"] = cfg["dt"]
+        f = tmp_path / "one.json"
+        f.write_text(json.dumps(cfg))
+        step_maxwell = mx.step_maxwell
+        calls = []
+
+        def poisoned(fields, src, dt):
+            out = step_maxwell(fields, src, dt)
+            calls.append(dt)
+            if len(calls) == 2:
+                out.B[0, 3, 4] = np.inf
+            return out
+
+        monkeypatch.setattr(mx, "step_maxwell", poisoned)
+        assert run_cli("simulate", str(f),
+                       "--out", str(tmp_path / "o")) == cli.EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: run aborted: non-finite B "
+                                    "at t=0.05"]
 
 
 class TestVerify:
@@ -121,6 +164,17 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_cli("verify", "bogus") == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("suite,count", [("all", "1"),
+                                             ("identities", "2"),
+                                             ("geometry", "0")])
+    def test_small_count_is_usage_error(self, suite, count, capsys):
+        assert run_cli("verify", suite, "--count", count) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: --count must be at least 3, got {count}\n"
+
+    def test_smallest_count_runs(self, capsys):
+        assert run_cli("verify", "identities", "--count", "3") == cli.EXIT_OK
 
 
 class TestFieldsCompare:

@@ -42,6 +42,15 @@ class TestMomentum:
         assert m.p0 >= 1.0
         assert float(np.linalg.norm(m.phat)) < 1.0
 
+    @pytest.mark.parametrize("shape", [(2,), (3,), (5000, 2), (5000, 3),
+                                       (40, 7, 3)])
+    def test_p0_of_matches_axis_sum(self, shape):
+        # the reference: one reduction of the squares over the last axis
+        rng = np.random.default_rng(6)
+        p = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        ref = np.sqrt(1.0 + np.sum(p * p, axis=-1))
+        assert np.array_equal(phase.p0_of(p), ref)
+
     def test_weight_at_rest(self):
         # p0 = 1 so the weight is exactly log 2 in both dimensions
         m = phase.momentum_derived([0.0, 0.0, 0.0])
@@ -112,6 +121,14 @@ class TestEnsemble:
             phase.ParticleEnsemble(dim_p=2, x=np.zeros((2, 2)),
                                    p=np.zeros((2, 2)), w=np.array([1.0, 0.0]),
                                    box=[1.0, 1.0])
+
+    @pytest.mark.parametrize("dim_p", [2, 3])
+    def test_p0_and_phat_computed_once(self, dim_p):
+        ens = self._ens(n=50, dim_p=dim_p)
+        p0 = phase.p0_of(ens.p)
+        assert np.array_equal(ens.p0, p0)
+        assert np.array_equal(ens.phat, ens.p / p0[:, None])
+        assert ens.p0 is ens.p0 and ens.phat is ens.phat
 
     def test_moment_matches_direct_sum(self):
         ens = self._ens()
@@ -219,6 +236,24 @@ class TestSnapshots:
         assert np.array_equal(ens.w, back.w)
         phase.save_ensemble(back, f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_rows_across_blocks_match_format(self, tmp_path):
+        # the documented format, one repr() per cell, over more rows than
+        # the writer formats at a time, special values included
+        rng = np.random.default_rng(4)
+        n = 2 * phase._SAVE_BLOCK + 3
+        p = rng.standard_normal((n, 2)) * 1e3
+        p[:5, 0] = [-0.0, 5e-324, 1e300, 0.1, -1e-17]
+        ens = phase.ParticleEnsemble(dim_p=2, x=rng.random((n, 2)) * 5.0,
+                                     p=p, w=rng.random(n) + 0.1,
+                                     box=[5.0, 5.0])
+        lines = ["# dim_p=2 box=5.0,5.0", "x1,x2,p1,p2,w"]
+        for i in range(n):
+            cells = list(ens.x[i]) + list(ens.p[i]) + [ens.w[i]]
+            lines.append(",".join(repr(float(v)) for v in cells))
+        f = tmp_path / "e.csv"
+        phase.save_ensemble(ens, f)
+        assert f.read_text() == "\n".join(lines) + "\n"
 
     def test_empty_ensemble(self, tmp_path):
         ens = phase.ParticleEnsemble(dim_p=2, x=np.zeros((0, 2)),

@@ -88,6 +88,21 @@ class TestScenario:
         with pytest.raises(ValueError, match=rf"^inline: {re.escape(key)}: must be"):
             pic.scenario_from_dict(cfg, path="inline")
 
+    @pytest.mark.parametrize("t_final,dt", [(0.07, 0.05), (0.3, 0.07),
+                                            (0.01, 0.05), (1e300, 1e-10)])
+    def test_t_final_off_the_step_grid(self, t_final, dt):
+        with pytest.raises(ValueError, match=r"^inline: t_final: must be a "
+                                             r"whole number of steps"):
+            pic.scenario_from_dict(small_cfg(t_final=t_final, dt=dt),
+                                   path="inline")
+
+    @pytest.mark.parametrize("t_final,dt,n", [(5.0, 0.05, 100),
+                                              (0.3, 0.1, 3),
+                                              (1.5, 0.0125, 120)])
+    def test_t_final_on_the_step_grid(self, t_final, dt, n):
+        cfg = small_cfg(t_final=t_final, dt=dt)
+        assert pic.scenario_from_dict(cfg, path="inline").n_steps == n
+
     def test_load_scenario_json(self, tmp_path):
         import json
         f = tmp_path / "s.json"
@@ -223,7 +238,8 @@ class TestRun:
         assert rep["tracer_invariant_drift"] < 1e-4
 
     def test_dt_bound_enforced(self):
-        scn = pic.scenario_from_dict(small_cfg(dt=1.0), path="inline")
+        scn = pic.scenario_from_dict(small_cfg(dt=1.0, t_final=1.0),
+                                     path="inline")
         with pytest.raises(ValueError):
             pic.run(scn)
 
@@ -271,6 +287,23 @@ class TestRun:
         monkeypatch.setattr(pic, "deposit", counted)
         pic.run(pic.scenario_from_dict(small_cfg(t_final=0.1), path="inline"))
         assert len(calls) == 3                # t = 0 plus 2 steps
+
+    def test_nonfinite_a3_aborts_the_run(self, monkeypatch):
+        # A3 is evolved after the push, so only the state check sees it
+        # within the step that makes it non-finite
+        evolve_a3 = mx.evolve_a3
+        calls = []
+
+        def poisoned(a3, e3_mid, dt):
+            calls.append(dt)
+            out = evolve_a3(a3, e3_mid, dt)
+            return out * np.nan if len(calls) == 2 else out
+
+        monkeypatch.setattr(mx, "evolve_a3", poisoned)
+        scn = pic.scenario_from_dict(small_cfg_25d(t_final=0.05),
+                                     path="inline")
+        with pytest.raises(FloatingPointError, match=r"^non-finite A3 at"):
+            pic.run(scn)
 
     def test_moment_monitor_finite(self):
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
