@@ -1,5 +1,6 @@
-"""Phase-space primitives: momentum kinematics, weights, cone geometry,
-particle ensembles, moments and mixed Lebesgue norms.
+"""Phase-space primitives: momentum kinematics, cone geometry, particle
+ensembles and their p0 moments, the moment interpolation check, and
+ensemble snapshots.
 
 Units are dimensionless with the speed of light c = 1, so the energy of a
 momentum p is p0 = sqrt(1 + |p|^2) and the velocity is phat = p / p0 with
@@ -16,43 +17,18 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "Momentum",
     "ParticleEnsemble",
     "embed3",
     "p0_of",
     "unit_direction",
     "ConeGeometry",
-    "MomentSpec",
-    "NormSpec",
     "InterpolationReport",
-    "momentum_derived",
-    "weight_w",
     "cone_coords",
-    "momentum_cone_angle",
     "moment",
-    "mixed_norm",
     "interpolation_check",
     "save_ensemble",
     "load_ensemble",
 ]
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Momentum vector with derived energy and velocity.
-
-    p:    (d_p,) momentum components, d_p in {2, 3}
-    p0:   energy sqrt(1 + |p|^2) >= 1
-    phat: velocity p / p0, |phat| < 1
-    """
-
-    p: np.ndarray
-    p0: float
-    phat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[-1]
 
 
 def embed3(v: np.ndarray) -> np.ndarray:
@@ -75,29 +51,6 @@ def p0_of(p: np.ndarray) -> np.ndarray:
     for i in range(1, p.shape[-1]):
         sq += p[..., i] * p[..., i]
     return np.sqrt(1.0 + sq)
-
-
-def momentum_derived(p) -> Momentum:
-    """Build a Momentum from raw components, computing p0 and phat."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] not in (2, 3):
-        raise ValueError(f"momentum must be a 2- or 3-vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"non-finite momentum components: {p}")
-    p0 = math.sqrt(1.0 + float(p @ p))
-    return Momentum(p=p, p0=p0, phat=p / p0)
-
-
-def weight_w(mom: Momentum, d_p: int | None = None) -> float:
-    """Momentum weight p0^(d_p/2) * log(1 + p0).
-
-    Equals log 2 at p = 0 and is strictly positive everywhere.
-    """
-    if d_p is None:
-        d_p = mom.dim
-    if d_p not in (2, 3):
-        raise ValueError(f"d_p must be 2 or 3, got {d_p}")
-    return mom.p0 ** (d_p / 2.0) * math.log1p(mom.p0)
 
 
 # --------------------------------------------------------------------------
@@ -149,23 +102,6 @@ def unit_direction(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     (...), and e_1 where r = 0 (on the cone axis)."""
     return np.where(r[..., None] > 0, d / np.maximum(r, 1e-300)[..., None],
                     np.array([1.0, 0.0]))
-
-
-def momentum_cone_angle(phat, xi) -> float:
-    """Angle theta in (-pi, pi] between phat and the inward direction -xi,
-    defined by -phat . xi = |phat| |xi| cos(theta).
-
-    Used by the singular momentum-integral estimates; zero when either
-    vector vanishes.
-    """
-    phat = np.asarray(phat, dtype=float)[:2]
-    xi = np.asarray(xi, dtype=float)
-    a = float(np.hypot(phat[0], phat[1]))
-    b = float(np.hypot(xi[0], xi[1]))
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    c = float(-phat @ xi) / (a * b)
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 # --------------------------------------------------------------------------
@@ -224,96 +160,16 @@ class ParticleEnsemble:
         return self.p / self.p0[:, None]
 
 
-def moment(ens: ParticleEnsemble, spec: "MomentSpec") -> float:
-    """Particle estimate of || p0^N f ||_{L1_x L1_p} = sum_i w_i p0_i^N."""
-    if spec.d_p != ens.dim_p:
-        raise ValueError(f"spec d_p={spec.d_p} does not match ensemble dim_p={ens.dim_p}")
-    if len(ens) == 0:
-        return 0.0
-    with np.errstate(over="raise"):
-        try:
-            vals = ens.p0 ** spec.N
-            out = float(np.sum(ens.w * vals))
-        except FloatingPointError as exc:
-            raise OverflowError(
-                f"moment of order N={spec.N} overflows for this ensemble") from exc
+def moment(ens: ParticleEnsemble, N: float) -> float:
+    """Particle estimate of || p0^N f ||_{L1_x L1_p} = sum_i w_i p0_i^N.
+
+    Raises FloatingPointError, naming the order, if the sum overflows.
+    """
+    with np.errstate(over="ignore"):
+        out = float(np.sum(ens.w * ens.p0 ** N))
     if not math.isfinite(out):
-        raise OverflowError(f"moment of order N={spec.N} is not finite")
+        raise FloatingPointError(f"moment of order N={N:g} is not finite")
     return out
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Order N >= 0 of the momentum moment p0^N, with momentum dimension d_p."""
-
-    N: float
-    d_p: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.N) and self.N >= 0):
-            raise ValueError(f"moment order must be finite and nonnegative, got {self.N}")
-        if self.d_p not in (2, 3):
-            raise ValueError(f"d_p must be 2 or 3, got {self.d_p}")
-
-
-# --------------------------------------------------------------------------
-# Mixed norms
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Exponents (s, q, r) of the mixed norm L^s_t L^q_x L^r_p.
-
-    Each exponent is a real >= 1 or math.inf (computed as a discrete max).
-    """
-
-    s: float = 1.0
-    q: float = 1.0
-    r: float = 1.0
-
-    def __post_init__(self):
-        for name, e in (("s", self.s), ("q", self.q), ("r", self.r)):
-            if not (e >= 1.0):
-                raise ValueError(f"exponent {name} must be >= 1 or inf, got {e}")
-
-
-def _lp_reduce(g: np.ndarray, axes: tuple, exponent: float, cell: float) -> np.ndarray:
-    """Discrete L^p norm over the given axes with constant cell measure."""
-    if not axes:
-        return g
-    g = np.abs(g)
-    if math.isinf(exponent):
-        return g.max(axis=axes)
-    return (np.sum(g ** exponent, axis=axes) * cell) ** (1.0 / exponent)
-
-
-def mixed_norm(g, spec: NormSpec, dt: float | None = None,
-               dx=None, dp=None) -> float:
-    """Nested discrete Lebesgue norm of a gridded scalar.
-
-    The array axes are ordered (t, x..., p...): the leading axis is time when
-    ``dt`` is given, the next ``len(dx)`` axes are space, and the trailing
-    ``len(dp)`` axes are momentum. Cell measures are the grid spacings
-    (midpoint Riemann sums); infinite exponents become discrete maxima.
-    """
-    g = np.asarray(g, dtype=float)
-    nt = 1 if dt is not None else 0
-    nx = len(dx) if dx is not None else 0
-    npp = len(dp) if dp is not None else 0
-    if g.ndim != nt + nx + npp:
-        raise ValueError(
-            f"grid has {g.ndim} axes but spacings describe {nt + nx + npp}")
-    # innermost: momentum
-    if npp:
-        axes = tuple(range(nt + nx, nt + nx + npp))
-        g = _lp_reduce(g, axes, spec.r, float(np.prod(np.asarray(dp, dtype=float))))
-    if nx:
-        axes = tuple(range(nt, nt + nx))
-        g = _lp_reduce(g, axes, spec.q, float(np.prod(np.asarray(dx, dtype=float))))
-    if nt:
-        g = _lp_reduce(g, (0,), spec.s, float(dt))
-    return float(g)
 
 
 # --------------------------------------------------------------------------

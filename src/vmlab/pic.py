@@ -28,7 +28,7 @@ import numpy as np
 
 from . import characteristics as chars
 from . import maxwell as mx
-from .phase import ParticleEnsemble
+from .phase import ParticleEnsemble, moment
 
 __all__ = [
     "Scenario",
@@ -567,10 +567,9 @@ def _diag_row(t, fields, ens, src, scn, tracer_inv_drift) -> list:
            ("total_charge", 4.0 * np.pi * float(np.sum(ens.w))),
            ("rho_max", float(src.rho.max())),
            ("k_linf", float(kmag.max()))]
-    p0 = ens.p0
     for N in scn.moment_orders:
         q = N + scn.dim_p
-        row.append((f"moment_{N:g}", float(np.sum(ens.w * p0 ** N))))
+        row.append((f"moment_{N:g}", moment(ens, N)))
         row.append((f"k_l{q:g}",
                     float((np.sum(kmag ** q) * fields.grid.cell) ** (1.0 / q))))
     row.append(("tracer_invariant_drift", tracer_inv_drift))

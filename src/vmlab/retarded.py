@@ -27,14 +27,10 @@ import numpy as np
 
 from . import maxwell as mx
 from . import pic
-from .phase import Momentum, embed3, p0_of, unit_direction
+from .phase import embed3, p0_of, unit_direction
 
 __all__ = [
-    "KernelSet2D",
-    "KernelSet25D",
     "RetardedQuadrature",
-    "kernel_eval_2d",
-    "kernel_eval_25d",
     "kernel_arrays_2d",
     "kernel_arrays_25d",
     "KernelBoundReport",
@@ -52,32 +48,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Kernels
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelSet2D:
-    """Planar kernels at one (p, xi): eT (2,), bT scalar, esMatrix (2, 2)
-    with esMatrix[i, j] = d(eS primitive_i)/dp_j, bsVector (2,)."""
-
-    eT: np.ndarray
-    bT: float
-    esMatrix: np.ndarray
-    bsVector: np.ndarray
-
-
-@dataclass(frozen=True)
-class KernelSet25D:
-    """3-momentum kernels at one (p, xi): eT, bT, and the S primitives
-    eS = -2(xi + phat)/(1 + phat.xi) (third slot -2 phat_3 / (1 + phat.xi)),
-    bS = 2 (xi x phat)/(1 + phat.xi), plus their momentum-derivative
-    matrices deS, dbS with [i, j] = d(primitive_i)/dp_j."""
-
-    eT: np.ndarray
-    bT: np.ndarray
-    eS: np.ndarray
-    bS: np.ndarray
-    deS: np.ndarray
-    dbS: np.ndarray
 
 
 def _prep(p: np.ndarray, xi: np.ndarray):
@@ -162,25 +132,6 @@ def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
     bS = 2.0 * np.cross(xi3, phat) / one[..., None]
     deS, dbS = _s_matrices(p0, phat, xi3, kappa)
     return eT, bT, eS, bS, deS, dbS
-
-
-def kernel_eval_2d(mom: Momentum, xi) -> KernelSet2D:
-    """Planar kernel set at a single (p, xi)."""
-    if mom.dim != 2:
-        raise ValueError("planar kernels require 2-component momenta")
-    xi = np.asarray(xi, dtype=float)
-    eT, bT, es, bs = kernel_arrays_2d(mom.p[None, :], xi[None, :])
-    return KernelSet2D(eT=eT[0], bT=float(bT[0]), esMatrix=es[0], bsVector=bs[0])
-
-
-def kernel_eval_25d(mom: Momentum, xi) -> KernelSet25D:
-    """3-momentum kernel set at a single (p, xi)."""
-    if mom.dim != 3:
-        raise ValueError("3-momentum kernels require 3-component momenta")
-    xi = np.asarray(xi, dtype=float)
-    eT, bT, eS, bS, deS, dbS = kernel_arrays_25d(mom.p[None, :], xi[None, :])
-    return KernelSet25D(eT=eT[0], bT=bT[0], eS=eS[0], bS=bS[0],
-                        deS=deS[0], dbS=dbS[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Characteristic integrator: free streaming, gyration, reversibility,
-convergence order, and the variational (Jacobian) flow."""
+"""Characteristic integrator: free streaming, gyration, the planar rotation,
+and, over many steps, reversibility and convergence order."""
 
 import math
 
@@ -108,6 +108,16 @@ class TestElectricKick:
         assert np.allclose(pn, p + np.array([[0.1, 0.0]]), atol=1e-15)
 
 
+def flow(fields, t_from, t_to, x, p, dt):
+    """The characteristic from (t_from, x, p) to t_to, as a loop of steps
+    of equal length at most dt; backward when t_to < t_from."""
+    n = math.ceil(abs(t_to - t_from) / dt - 1e-12)
+    h = (t_to - t_from) / n
+    for k in range(n):
+        x, p = chars.push_many(x, p, fields, t_from + k * h, h)
+    return x, p
+
+
 class TestFlowMap:
     def test_forward_backward_roundtrip(self):
         def fields(t, x):
@@ -119,8 +129,8 @@ class TestFlowMap:
             return E, B
         x0 = np.array([[1.0, -0.5], [0.2, 2.0]])
         p0 = np.array([[0.5, 0.1], [-0.3, 0.7]])
-        x1, p1 = chars.flow_map(fields, 0.0, 2.0, x0, p0, dt=0.01)
-        xb, pb = chars.flow_map(fields, 2.0, 0.0, x1, p1, dt=0.01)
+        x1, p1 = flow(fields, 0.0, 2.0, x0, p0, dt=0.01)
+        xb, pb = flow(fields, 2.0, 0.0, x1, p1, dt=0.01)
         # the stepper is time-symmetric, so the roundtrip is exact
         assert np.abs(xb - x0).max() < 1e-11
         assert np.abs(pb - p0).max() < 1e-11
@@ -135,67 +145,10 @@ class TestFlowMap:
             return 0.3 * E, B
         x0 = np.array([[0.3, 0.1]])
         p0 = np.array([[0.4, -0.2]])
-        ref_x, ref_p = chars.flow_map(fields, 0.0, 1.0, x0, p0, dt=1e-4)
+        ref_x, ref_p = flow(fields, 0.0, 1.0, x0, p0, dt=1e-4)
         errs = []
         for dt in (0.05, 0.025, 0.0125):
-            x1, p1 = chars.flow_map(fields, 0.0, 1.0, x0, p0, dt=dt)
+            x1, p1 = flow(fields, 0.0, 1.0, x0, p0, dt=dt)
             errs.append(np.abs(x1 - ref_x).max() + np.abs(p1 - ref_p).max())
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.8
-
-    def test_zero_span_is_identity(self):
-        x0 = np.array([[1.0, 1.0]])
-        p0 = np.array([[0.1, 0.2]])
-        x1, p1 = chars.flow_map(zero_fields, 1.0, 1.0, x0, p0)
-        assert np.array_equal(x1, x0)
-        assert np.array_equal(p1, p0)
-
-
-class TestVariational:
-    @staticmethod
-    def _grad_fields(t, x):
-        E = np.array([0.1, 0.0, 0.0])
-        B = np.array([0.0, 0.0, 1.0])
-        return E, B, np.zeros((3, 2)), np.zeros((3, 2))
-
-    def _integrate(self, x0, p0, n=20, dt=0.05):
-        st_ = chars.CharState(x=np.asarray(x0), p=np.asarray(p0), t=0.0)
-        jac = chars.FlowJacobian.identity(len(p0))
-        for _ in range(n):
-            st_, jac = chars.variational_push(st_, jac, self._grad_fields, dt)
-        return st_, jac
-
-    def test_jacobian_matches_finite_differences(self):
-        x0, p0 = [1.0, 1.0], [0.5, 0.2]
-        s0, j0 = self._integrate(x0, p0)
-        eps = 1e-6
-        cols = []
-        for i in range(4):
-            d = np.zeros(4)
-            d[i] = eps
-            sp, _ = self._integrate([x0[0] + d[0], x0[1] + d[1]],
-                                    [p0[0] + d[2], p0[1] + d[3]])
-            cols.append(np.concatenate([sp.x - s0.x, sp.p - s0.p]) / eps)
-        J_fd = np.stack(cols, axis=1)
-        assert np.abs(J_fd - j0.J).max() < 5e-3
-
-    def test_unit_determinant(self):
-        # the characteristic flow is measure preserving (Liouville)
-        _, jac = self._integrate([0.0, 0.0], [1.0, -0.5], n=100, dt=0.02)
-        assert np.linalg.det(jac.J) == pytest.approx(1.0, abs=1e-6)
-
-    def test_forward_backward_report_shapes(self):
-        st_ = chars.CharState(x=np.array([0.0, 0.0]),
-                              p=np.array([0.5, 0.2]), t=0.0)
-        jac = chars.FlowJacobian.identity(2)
-        times, mats = [0.0], [jac.J.copy()]
-        for _ in range(10):
-            st_, jac = chars.variational_push(st_, jac, self._grad_fields, 0.1)
-            times.append(st_.t)
-            mats.append(jac.J.copy())
-        rep = chars.forward_backward_report(times, [mats], d_p=2)
-        assert rep.forward.shape == (11,)
-        assert rep.forward[0] == 1.0
-        assert np.all(np.diff(rep.forward) >= 0)
-        assert np.all(np.diff(rep.backward) >= 0)
-        assert np.all(rep.ratio > 0)

@@ -143,6 +143,21 @@ class TestSimulate:
         assert err.splitlines() == ["error: run aborted: non-finite B "
                                     "at t=0.05"]
 
+    def test_moment_overflow_is_run_failure(self, tmp_path, capsys):
+        # p0^800 overflows on the heavy tail of alpha = 3: the run stops
+        # at the first diagnostics row instead of writing moment_800 = inf
+        cfg = json.loads((SCENARIOS_DIR / "golden_2d.json").read_text())
+        cfg.update(n_particles=2000, moment_orders=[2, 800], t_final=0.1)
+        cfg["f0"]["alpha"] = 3
+        f = tmp_path / "heavy.json"
+        f.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli("simulate", str(f),
+                       "--out", str(out)) == cli.EXIT_FAIL
+        assert capsys.readouterr().err.splitlines() == [
+            "error: run aborted: moment of order N=800 is not finite"]
+        assert not (out / "diagnostics.csv").exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["identities", "geometry",

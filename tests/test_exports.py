@@ -1,14 +1,89 @@
-"""Module exports: every name in a module's ``__all__`` exists there, and
-no name is listed twice."""
+"""Module exports: every name in a module's ``__all__`` exists there, is
+listed once, and earns a route; no module imports a name it never uses.
 
+A route is a reference from code in ``src/vmlab`` outside the name's own
+definition and its ``__all__`` entry, from ``tests/test_acceptance.py``, or
+from ``perfbench/`` (which names what it wraps in strings such as
+``"RunHistory.save_npz"``). Unit tests do not count: a name that only its
+own tests call is dead code."""
+
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import vmlab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(vmlab.__path__))
+SRC = Path(vmlab.__file__).resolve().parent
+ROOT = SRC.parents[1]
+
+_ESTIMATE = "paper estimate awaiting a verify route, ROADMAP item 5"
+_ORACLE = "snapshot reader, used by the round-trip tests as their oracle"
+ALLOW = {
+    "kernel_bound_check": _ESTIMATE,
+    "epsilon_split_eval": _ESTIMATE,
+    "strichartz_empirical": _ESTIMATE,
+    "cone_split_check": _ESTIMATE,
+    "load_field": _ORACLE,
+    "load_ensemble": _ORACLE,
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _refs(node: ast.AST, strings: bool = False) -> set:
+    """Identifiers that ``node`` refers to by name or attribute, and with
+    ``strings`` the parts of string constants that are dotted identifiers."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str) and _DOTTED.fullmatch(n.value)):
+            out.update(n.value.split("."))
+    return out
+
+
+def _defines(stmt: ast.stmt) -> set:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {n.id for t in stmt.targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def _routed() -> set:
+    refs = set()
+    for path in SRC.glob("*.py"):
+        for stmt in _parse(path).body:
+            defined = _defines(stmt)
+            if "__all__" not in defined:
+                refs |= _refs(stmt) - defined
+    refs |= _refs(_parse(ROOT / "tests" / "test_acceptance.py"))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        refs |= _refs(_parse(path), strings=True)
+    return refs
+
+
+def _exports() -> dict:
+    """Exported name -> the module that exports it."""
+    out = {}
+    for m in MODULES:
+        mod = importlib.import_module(f"vmlab.{m}")
+        out.update(dict.fromkeys(getattr(mod, "__all__", []), m))
+    return out
 
 
 def test_modules_found():
@@ -21,3 +96,33 @@ def test_all_names_resolve_once(name):
     names = getattr(mod, "__all__", [])
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(mod, n)] == []
+
+
+def test_every_export_is_routed():
+    routed = _routed()
+    unrouted = {f"{m}.{n}" for n, m in _exports().items()
+                if n not in routed and n not in ALLOW}
+    assert sorted(unrouted) == []
+
+
+def test_allow_list_is_not_stale():
+    # an exception that is now routed, or names no export, must go
+    routed, exports = _routed(), _exports()
+    stale = {n for n in ALLOW if n in routed or n not in exports}
+    assert sorted(stale) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_module_import(name):
+    tree = _parse(SRC / f"{name}.py")
+    imported = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = stmt.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(f"{b} (line {ln})" for b, ln in imported.items()
+                  if b not in used) == []

@@ -13,7 +13,7 @@ from vmlab import maxwell as mx
 from vmlab import pic
 from vmlab import retarded as rt
 from vmlab.inequalities import SamplerConfig, sample_momenta_xi
-from vmlab.phase import embed3, momentum_derived
+from vmlab.phase import embed3
 
 
 def _random_p_xi(rng, d_p):
@@ -21,6 +21,22 @@ def _random_p_xi(rng, d_p):
     xi = rng.standard_normal(2)
     xi *= rng.random() ** 0.5 / np.linalg.norm(xi)
     return p, xi
+
+
+def _one_row(kernels, p, xi):
+    """The kernels at one (p, xi): each output of ``kernels`` on (1, d)
+    arrays, with its row axis dropped."""
+    out = kernels(np.asarray(p, dtype=float)[None],
+                  np.asarray(xi, dtype=float)[None])
+    return [a[0] for a in out]
+
+
+def kernels_2d(p, xi):
+    return _one_row(rt.kernel_arrays_2d, p, xi)
+
+
+def kernels_25d(p, xi):
+    return _one_row(rt.kernel_arrays_25d, p, xi)
 
 
 class TestKernelOracle:
@@ -56,35 +72,35 @@ class TestKernelOracle:
         rng = np.random.default_rng(0)
         for _ in range(50):
             p, xi = _random_p_xi(rng, 3)
-            ks = rt.kernel_eval_25d(momentum_derived(p), xi)
+            *_, deS, dbS = kernels_25d(p, xi)
             de = np.array(self.f_deS(*p, *xi), dtype=float)
             db = np.array(self.f_dbS(*p, *xi), dtype=float)
-            assert np.abs(ks.deS - de).max() < 1e-12
-            assert np.abs(ks.dbS - db).max() < 1e-12
+            assert np.abs(deS - de).max() < 1e-12
+            assert np.abs(dbS - db).max() < 1e-12
 
     def test_s_derivatives_match_sympy_2d(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             p, xi = _random_p_xi(rng, 2)
-            ks = rt.kernel_eval_2d(momentum_derived(p), xi)
+            _, _, es_m, bs_v = kernels_2d(p, xi)
             es = np.array(self.f_es2(*p, *xi), dtype=float)
             bs = np.array(self.f_bs2(*p, *xi), dtype=float).ravel()
-            assert np.abs(ks.esMatrix - es).max() < 1e-12
-            assert np.abs(ks.bsVector - bs).max() < 1e-12
+            assert np.abs(es_m - es).max() < 1e-12
+            assert np.abs(bs_v - bs).max() < 1e-12
 
     def test_planar_reduction_at_zero_p3(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             p, xi = _random_p_xi(rng, 2)
-            k2 = rt.kernel_eval_2d(momentum_derived(p), xi)
-            k3 = rt.kernel_eval_25d(momentum_derived([p[0], p[1], 0.0]), xi)
-            assert np.allclose(k2.eT, k3.eT[:2], atol=1e-13)
-            assert abs(k3.eT[2]) < 1e-13
-            assert k2.bT == pytest.approx(k3.bT[2], abs=1e-13)
-            assert np.allclose(k2.esMatrix, k3.deS[:2, :2], atol=1e-13)
-            assert np.allclose(k2.bsVector, k3.dbS[2, :2], atol=1e-13)
+            eT2, bT2, es2, bs2 = kernels_2d(p, xi)
+            eT3, bT3, _, _, deS3, dbS3 = kernels_25d([p[0], p[1], 0.0], xi)
+            assert np.allclose(eT2, eT3[:2], atol=1e-13)
+            assert abs(eT3[2]) < 1e-13
+            assert bT2 == pytest.approx(bT3[2], abs=1e-13)
+            assert np.allclose(es2, deS3[:2, :2], atol=1e-13)
+            assert np.allclose(bs2, dbS3[2, :2], atol=1e-13)
             # in-plane B response vanishes with p3
-            assert abs(k3.bT[0]) < 1e-13 and abs(k3.bT[1]) < 1e-13
+            assert abs(bT3[0]) < 1e-13 and abs(bT3[1]) < 1e-13
 
     @pytest.mark.parametrize("pmag", [1e2, 1e4, 1e6])
     def test_planar_reduction_at_large_momentum(self, pmag):
@@ -94,24 +110,22 @@ class TestKernelOracle:
         for _ in range(20):
             p, xi = _random_p_xi(rng, 2)
             p *= pmag / np.linalg.norm(p)
-            k2 = rt.kernel_eval_2d(momentum_derived(p), xi)
-            k3 = rt.kernel_eval_25d(momentum_derived([p[0], p[1], 0.0]), xi)
-            for a, b in ((k3.eT[:2], k2.eT), (k3.bT[2], k2.bT),
-                         (k3.deS[:2, :2], k2.esMatrix),
-                         (k3.dbS[2, :2], k2.bsVector)):
+            eT2, bT2, es2, bs2 = kernels_2d(p, xi)
+            eT3, bT3, _, _, deS3, dbS3 = kernels_25d([p[0], p[1], 0.0], xi)
+            for a, b in ((eT3[:2], eT2), (bT3[2], bT2),
+                         (deS3[:2, :2], es2), (dbS3[2, :2], bs2)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_t_kernels_vanish_at_light_speed_limit(self):
         # the planar T kernels carry the factor 1 - |phat|^2
-        p = momentum_derived([1e8, 0.0])
-        ks = rt.kernel_eval_2d(p, [0.3, 0.1])
-        assert np.abs(ks.eT).max() < 1e-12
+        eT, *_ = kernels_2d([1e8, 0.0], [0.3, 0.1])
+        assert np.abs(eT).max() < 1e-12
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            rt.kernel_eval_2d(momentum_derived([1.0, 0.0, 0.0]), [0.1, 0.1])
+            rt.kernel_arrays_2d(np.ones((1, 3)), np.full((1, 2), 0.1))
         with pytest.raises(ValueError):
-            rt.kernel_eval_25d(momentum_derived([1.0, 0.0]), [0.1, 0.1])
+            rt.kernel_arrays_25d(np.ones((1, 2)), np.full((1, 2), 0.1))
         with pytest.raises(ValueError):
             rt.kernel_arrays_2d(np.zeros((1, 2)), np.array([[1.5, 0.0]]))
 
