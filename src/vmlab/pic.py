@@ -402,37 +402,30 @@ def gather_tsc_grad(grid: mx.Grid, arr: np.ndarray, x: np.ndarray):
 
 
 def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None = None):
-    """Field sampler (t, x) -> (E, B) for the particle push, frozen in time.
+    """Field sampler x -> (E, B) for the particle push, frozen over the step,
+    returning only the components the push reads.
 
-    Planar-momentum mode gathers with CIC. 3-momentum mode gathers E and B3
-    with the quadratic spline and reconstructs the in-plane B from the exact
-    gradient of the interpolated gauge potential ``a3`` (nx, ny).
+    Planar-momentum mode gathers (E1, E2) (n, 2) and B3 (n,) with CIC.
+    3-momentum mode gathers E (n, 3) and B3 with the quadratic spline and
+    reconstructs the in-plane B from the exact gradient of the interpolated
+    gauge potential ``a3`` (nx, ny).
     """
     grid = fields.grid
     if fields.mode == "2d":
         live = np.stack([fields.E[0], fields.E[1], fields.B[2]])
 
-        def sampler(t, x):
-            xs = x.reshape(-1, 2)
-            e1, e2, b3 = gather_cic(grid, live, xs)
-            zero = np.zeros_like(b3)
-            E = np.stack([e1, e2, zero], axis=-1)
-            B = np.stack([zero, zero, b3], axis=-1)
-            return (E.reshape(x.shape[:-1] + (3,)),
-                    B.reshape(x.shape[:-1] + (3,)))
+        def sampler(x):
+            g = gather_cic(grid, live, x)
+            return g[:2].T, g[2]
         return sampler
     if a3 is None:
         raise ValueError("3-momentum mode requires the gauge potential A3")
     e_b3 = np.concatenate([fields.E, fields.B[2:]])
 
-    def sampler(t, x):
-        xs = x.reshape(-1, 2)
-        e1, e2, e3, b3 = gather_tsc(grid, e_b3, xs)
-        _, grad_a3 = gather_tsc_grad(grid, a3, xs)
-        E = np.stack([e1, e2, e3], axis=-1)
-        B = np.stack([grad_a3[:, 1], -grad_a3[:, 0], b3], axis=-1)
-        return (E.reshape(x.shape[:-1] + (3,)),
-                B.reshape(x.shape[:-1] + (3,)))
+    def sampler(x):
+        g = gather_tsc(grid, e_b3, x)
+        _, grad_a3 = gather_tsc_grad(grid, a3, x)
+        return g[:3].T, np.stack([grad_a3[:, 1], -grad_a3[:, 0], g[3]], axis=-1)
     return sampler
 
 
@@ -561,17 +554,21 @@ def _diag_row(t, fields, ens, src, scn, tracer_inv_drift) -> list:
     """One diagnostics row as (column name, value) pairs, time first."""
     resE, resB = mx.constraint_residual(fields, src.rho)
     kmag = np.sqrt(np.sum(fields.E ** 2 + fields.B ** 2, axis=0))
+    kmax = float(kmag.max())
     row = [("time", t), ("energy", mx.energy(fields, ens)),
            ("field_energy", mx.field_energy(fields)),
            ("gauss_residual", resE), ("divb_residual", resB),
            ("total_charge", 4.0 * np.pi * float(np.sum(ens.w))),
            ("rho_max", float(src.rho.max())),
-           ("k_linf", float(kmag.max()))]
+           ("k_linf", kmax)]
     for N in scn.moment_orders:
         q = N + scn.dim_p
         row.append((f"moment_{N:g}", moment(ens, N)))
-        row.append((f"k_l{q:g}",
-                    float((np.sum(kmag ** q) * fields.grid.cell) ** (1.0 / q))))
+        lq = 0.0
+        if kmax:  # scaled by k_linf, so that no power underflows or overflows
+            lq = kmax * float((np.sum((kmag / kmax) ** q) * fields.grid.cell)
+                              ** (1.0 / q))
+        row.append((f"k_l{q:g}", lq))
     row.append(("tracer_invariant_drift", tracer_inv_drift))
     line_bound = 0.0
     if scn.dim_p == 3:
@@ -634,7 +631,7 @@ def run(scn: Scenario) -> RunResult:
             e3_mid = 0.5 * (fields.E[2] + fields_half.E[2])
             a3_half = mx.evolve_a3(a3, e3_mid, 0.5 * scn.dt)
         sampler = make_field_sampler(fields_half, a3_half)
-        xn, pn = chars.push_many(ens.x, ens.p, sampler, t, scn.dt)
+        xn, pn = chars.push_many(ens.x, ens.p, sampler, scn.dt)
         xn = wrap_box(xn, box)
         ens = ParticleEnsemble(dim_p=dim_p, x=xn, p=pn, w=ens.w, box=box)
         # half field step with the current at t + dt

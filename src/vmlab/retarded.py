@@ -101,19 +101,18 @@ def kernel_arrays_2d(p: np.ndarray, xi: np.ndarray):
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 2:
         raise ValueError("planar kernels require 2-component momenta")
-    eT, bT, _, _, deS, dbS = kernel_arrays_25d(embed3(p), xi)
+    eT, bT, deS, dbS = kernel_arrays_25d(embed3(p), xi)
     return eT[..., :2], bT[..., 2], deS[..., :2, :2], dbS[..., 2, :2]
 
 
 def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
     """Vectorized 3-momentum kernels: (eT (..., 3), bT (..., 3),
-    eS (..., 3), bS (..., 3), deS (..., 3, 3), dbS (..., 3, 3))."""
+    deS (..., 3, 3), dbS (..., 3, 3))."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError("3-momentum kernels require 3-component momenta")
     p0, phat, xi3, kappa = _prep(p, xi)
-    one = 1.0 + kappa
-    one2 = one ** 2
+    one2 = (1.0 + kappa) ** 2
     # 1 - phat1^2 - phat2^2 without its cancellation at large |p|
     flat = (1.0 + p[..., 2] ** 2) / (p0 * p0)
     wedge = xi3[..., 0] * phat[..., 1] - xi3[..., 1] * phat[..., 0]
@@ -128,10 +127,8 @@ def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
     bT[..., 1] = c3 * (xi3[..., 0] * phat[..., 1] * xp[..., 1]
                        - (1.0 + xi3[..., 1] * phat[..., 1]) * xp[..., 0])
     bT[..., 2] = 2.0 * flat * wedge / one2
-    eS = -2.0 * xp / one[..., None]
-    bS = 2.0 * np.cross(xi3, phat) / one[..., None]
     deS, dbS = _s_matrices(p0, phat, xi3, kappa)
-    return eT, bT, eS, bS, deS, dbS
+    return eT, bT, deS, dbS
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +178,7 @@ def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> KernelBoundR
         record("eS", np.abs(es).max(axis=(-2, -1)), maj_s)
         record("bS", np.abs(bs).max(axis=-1), maj_s)
     elif mode == "2.5d":
-        eT, bT, _, _, deS, dbS = kernel_arrays_25d(p, xi)
+        eT, bT, deS, dbS = kernel_arrays_25d(p, xi)
         bp3 = 1.0 + p[:, 2] ** 2          # <p3>^2
         maj_t = bp3 ** 1.5 / (p0 * one)
         maj_s = 1.0 / p0 + bp3 / (p0 * one)
@@ -369,7 +366,7 @@ class _ConeSums:
         taken. A planar history is the p3 = 0 case of the same sums."""
         w1, w2, xi = c.w1, c.w2, c.xi
         p3 = embed3(P)
-        eT, bT, _, _, deS, dbS = kernel_arrays_25d(p3, xi)
+        eT, bT, deS, dbS = kernel_arrays_25d(p3, xi)
         self.E_T += np.sum((wp * w1)[:, None] * eT, axis=0)
         self.B_T += np.sum((wp * w1)[:, None] * bT, axis=0)
         if force is None:

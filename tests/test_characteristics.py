@@ -12,22 +12,24 @@ from vmlab import characteristics as chars
 from vmlab.phase import embed3
 
 
-def zero_fields(t, x):
-    x = np.atleast_2d(x)
-    return np.zeros((len(x), 3)), np.zeros((len(x), 3))
+# Samplers x -> (E, B) of the live components: (E1, E2) and B3 for planar
+# momenta, 3-vectors for 3-momenta.
+
+def zero_fields(x):
+    return np.zeros((len(x), 2)), np.zeros(len(x))
 
 
-def uniform_b(b3):
-    def sampler(t, x):
-        x = np.atleast_2d(x)
+def uniform_b(b3, d_p=2):
+    def sampler(x):
+        if d_p == 2:
+            return np.zeros((len(x), 2)), np.full(len(x), b3)
         return np.zeros((len(x), 3)), np.tile([0.0, 0.0, b3], (len(x), 1))
     return sampler
 
 
 def uniform_e(e1):
-    def sampler(t, x):
-        x = np.atleast_2d(x)
-        return np.tile([e1, 0.0, 0.0], (len(x), 1)), np.zeros((len(x), 3))
+    def sampler(x):
+        return np.tile([e1, 0.0], (len(x), 1)), np.zeros(len(x))
     return sampler
 
 
@@ -36,7 +38,7 @@ class TestFreeStreaming:
         # with E = B = 0 a single step moves x by dt * phat exactly
         x = np.array([[1.0, 2.0]])
         p = np.array([[3.0, 4.0]])
-        xn, pn = chars.push_many(x, p, zero_fields, 0.0, 0.7)
+        xn, pn = chars.push_many(x, p, zero_fields, 0.7)
         phat = p / math.sqrt(26.0)
         assert np.allclose(xn, x + 0.7 * phat, rtol=0, atol=1e-14)
         assert np.array_equal(pn, p)
@@ -46,7 +48,7 @@ class TestFreeStreaming:
     def test_momentum_frozen(self, p1, p2, dt):
         x = np.array([[0.0, 0.0]])
         p = np.array([[p1, p2]])
-        _, pn = chars.push_many(x, p, zero_fields, 0.0, dt)
+        _, pn = chars.push_many(x, p, zero_fields, dt)
         assert np.array_equal(pn, p)
 
 
@@ -56,7 +58,7 @@ class TestMagneticRotation:
         p = np.array([[2.0, -1.0, 0.5]])
         norm0 = np.linalg.norm(p)
         for _ in range(200):
-            x, p = chars.push_many(x, p, uniform_b(3.0), 0.0, 0.05)
+            x, p = chars.push_many(x, p, uniform_b(3.0, d_p=3), 0.05)
         assert np.linalg.norm(p) == pytest.approx(norm0, abs=1e-12)
 
     def test_gyration_angle(self):
@@ -67,7 +69,7 @@ class TestMagneticRotation:
         x = np.array([[0.0, 0.0]])
         p0 = math.sqrt(2.0)
         for _ in range(n):
-            x, p = chars.push_many(x, p, uniform_b(b3), 0.0, dt)
+            x, p = chars.push_many(x, p, uniform_b(b3), dt)
         ang = -b3 * n * dt / p0
         assert np.allclose(p[0], [math.cos(ang), math.sin(ang)], atol=1e-4)
 
@@ -86,13 +88,12 @@ class TestPlanarRotation:
         b3[::7] = 0.0
         assert (b3 > 0).any() and (b3 < 0).any()
 
-        def fields(t, xh):
-            z = np.zeros(len(xh))
-            return (np.stack([e[:, 0], e[:, 1], z], axis=-1),
-                    np.stack([z, z, b3], axis=-1))
+        def fields3(xh):
+            z = np.zeros(n)
+            return embed3(e), np.stack([z, z, b3], axis=-1)
 
-        xn, pn = chars.push_many(x, p, fields, 0.0, dt)
-        x3, p3 = chars.push_many(x, embed3(p), fields, 0.0, dt)
+        xn, pn = chars.push_many(x, p, lambda xh: (e, b3), dt)
+        x3, p3 = chars.push_many(x, embed3(p), fields3, dt)
         assert pn.shape == (n, 2)
         assert np.array_equal(xn, x3)
         assert np.array_equal(pn, p3[:, :2])
@@ -104,7 +105,7 @@ class TestElectricKick:
         # with B = 0 and uniform E the momentum update is exact: p += dt E
         x = np.array([[0.0, 0.0]])
         p = np.array([[0.3, -0.2]])
-        xn, pn = chars.push_many(x, p, uniform_e(0.5), 0.0, 0.2)
+        xn, pn = chars.push_many(x, p, uniform_e(0.5), 0.2)
         assert np.allclose(pn, p + np.array([[0.1, 0.0]]), atol=1e-15)
 
 
@@ -113,20 +114,16 @@ def flow(fields, t_from, t_to, x, p, dt):
     of equal length at most dt; backward when t_to < t_from."""
     n = math.ceil(abs(t_to - t_from) / dt - 1e-12)
     h = (t_to - t_from) / n
-    for k in range(n):
-        x, p = chars.push_many(x, p, fields, t_from + k * h, h)
+    for _ in range(n):
+        x, p = chars.push_many(x, p, fields, h)
     return x, p
 
 
 class TestFlowMap:
     def test_forward_backward_roundtrip(self):
-        def fields(t, x):
-            x = np.atleast_2d(x)
-            E = np.stack([0.1 * np.sin(x[:, 0]), 0.05 * x[:, 1],
-                          np.zeros(len(x))], axis=-1)
-            B = np.stack([np.zeros(len(x)), np.zeros(len(x)),
-                          1.0 + 0.1 * np.cos(x[:, 1])], axis=-1)
-            return E, B
+        def fields(x):
+            E = np.stack([0.1 * np.sin(x[:, 0]), 0.05 * x[:, 1]], axis=-1)
+            return E, 1.0 + 0.1 * np.cos(x[:, 1])
         x0 = np.array([[1.0, -0.5], [0.2, 2.0]])
         p0 = np.array([[0.5, 0.1], [-0.3, 0.7]])
         x1, p1 = flow(fields, 0.0, 2.0, x0, p0, dt=0.01)
@@ -136,13 +133,9 @@ class TestFlowMap:
         assert np.abs(pb - p0).max() < 1e-11
 
     def test_second_order_convergence(self):
-        def fields(t, x):
-            x = np.atleast_2d(x)
-            E = np.stack([np.cos(x[:, 0]), np.sin(x[:, 1]),
-                          np.zeros(len(x))], axis=-1)
-            B = np.stack([np.zeros(len(x)), np.zeros(len(x)),
-                          np.cos(x[:, 0] + x[:, 1])], axis=-1)
-            return 0.3 * E, B
+        def fields(x):
+            E = np.stack([np.cos(x[:, 0]), np.sin(x[:, 1])], axis=-1)
+            return 0.3 * E, np.cos(x[:, 0] + x[:, 1])
         x0 = np.array([[0.3, 0.1]])
         p0 = np.array([[0.4, -0.2]])
         ref_x, ref_p = flow(fields, 0.0, 1.0, x0, p0, dt=1e-4)

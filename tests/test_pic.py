@@ -3,6 +3,7 @@ gathering, the coupled time loop, and its conservation reports."""
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from vmlab import maxwell as mx
 from vmlab import pic
 from vmlab.phase import ParticleEnsemble
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def small_cfg(**over):
@@ -221,6 +224,43 @@ class TestGather:
         assert np.abs(grads[1] + 2.0 * exact).max() < 4e-2
 
 
+class TestFieldSampler:
+    @staticmethod
+    def _fields(mode):
+        g = mx.Grid(16, 16, 8.0, 8.0)
+        rng = np.random.default_rng(3)
+        E, B = rng.standard_normal((2, 3, 16, 16))
+        if mode == "2d":
+            E[2] = B[0] = B[1] = 0.0
+        return mx.FieldState(mode, g, E, B), rng.random((50, 2)) * 8.0
+
+    def test_2d_returns_live_components(self):
+        fields, x = self._fields("2d")
+        E, B = pic.make_field_sampler(fields)(x)
+        assert E.shape == (50, 2) and B.shape == (50,)
+        g = fields.grid
+        assert np.array_equal(E[:, 0], pic.gather_cic(g, fields.E[0], x))
+        assert np.array_equal(E[:, 1], pic.gather_cic(g, fields.E[1], x))
+        assert np.array_equal(B, pic.gather_cic(g, fields.B[2], x))
+
+    def test_25d_reconstructs_inplane_b_from_a3(self):
+        fields, x = self._fields("2.5d")
+        a3 = np.random.default_rng(4).standard_normal((16, 16))
+        E, B = pic.make_field_sampler(fields, a3)(x)
+        assert E.shape == B.shape == (50, 3)
+        g = fields.grid
+        assert np.array_equal(E, pic.gather_tsc(g, fields.E, x).T)
+        _, grad = pic.gather_tsc_grad(g, a3, x)
+        assert np.array_equal(B[:, 0], grad[:, 1])
+        assert np.array_equal(B[:, 1], -grad[:, 0])
+        assert np.array_equal(B[:, 2], pic.gather_tsc(g, fields.B[2], x))
+
+    def test_25d_requires_a3(self):
+        fields, _ = self._fields("2.5d")
+        with pytest.raises(ValueError, match="A3"):
+            pic.make_field_sampler(fields)
+
+
 class TestRun:
     def test_conservation_2d(self):
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
@@ -305,6 +345,19 @@ class TestRun:
         with pytest.raises(FloatingPointError, match=r"^non-finite A3 at"):
             pic.run(scn)
 
+    def test_high_order_field_norm_neither_underflows_nor_overflows(self):
+        # kmag^302 underflows to 0 below kmag ~ 0.1: the column must stay
+        # within the bounds any L^q norm of the grid field obeys
+        cfg = pic.load_scenario(SCENARIOS / "golden_2d.json").to_canonical_dict()
+        cfg.update(n_particles=2000, moment_orders=[2, 300], t_final=0.1)
+        scn = pic.scenario_from_dict(cfg, path="inline")
+        s = pic.run(scn).series
+        kinf, kq = s.column("k_linf"), s.column("k_l302")
+        assert (kinf > 0).all()
+        q, g = 302, scn.grid
+        assert (kinf * g.cell ** (1 / q) <= kq).all()
+        assert (kq <= kinf * (g.lx * g.ly) ** (1 / q)).all()
+
     def test_moment_monitor_finite(self):
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
         mon = pic.moment_inequality_monitor(pic.run(scn))
@@ -361,10 +414,10 @@ class TestForceFree:
         from vmlab import characteristics as chars
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
         ens = pic.sample_ensemble(scn)
-        zero = lambda t, x: (np.zeros((len(x), 3)), np.zeros((len(x), 3)))  # noqa: E731
+        zero = lambda x: (np.zeros((len(x), 2)), np.zeros(len(x)))  # noqa: E731
         m0 = float(np.sum(ens.w * ens.p0 ** 2))
         x, p = ens.x, ens.p
         for _ in range(20):
-            x, p = chars.push_many(x, p, zero, 0.0, 0.05)
+            x, p = chars.push_many(x, p, zero, 0.05)
         m1 = float(np.sum(ens.w * (1.0 + np.sum(p * p, axis=1))))
         assert abs(m1 - m0) <= 1e-12 * max(1.0, abs(m0))

@@ -93,7 +93,7 @@ class TestKernelOracle:
         for _ in range(30):
             p, xi = _random_p_xi(rng, 2)
             eT2, bT2, es2, bs2 = kernels_2d(p, xi)
-            eT3, bT3, _, _, deS3, dbS3 = kernels_25d([p[0], p[1], 0.0], xi)
+            eT3, bT3, deS3, dbS3 = kernels_25d([p[0], p[1], 0.0], xi)
             assert np.allclose(eT2, eT3[:2], atol=1e-13)
             assert abs(eT3[2]) < 1e-13
             assert bT2 == pytest.approx(bT3[2], abs=1e-13)
@@ -111,7 +111,7 @@ class TestKernelOracle:
             p, xi = _random_p_xi(rng, 2)
             p *= pmag / np.linalg.norm(p)
             eT2, bT2, es2, bs2 = kernels_2d(p, xi)
-            eT3, bT3, _, _, deS3, dbS3 = kernels_25d([p[0], p[1], 0.0], xi)
+            eT3, bT3, deS3, dbS3 = kernels_25d([p[0], p[1], 0.0], xi)
             for a, b in ((eT3[:2], eT2), (bT3[2], bT2),
                          (deS3[:2, :2], es2), (dbS3[2, :2], bs2)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
