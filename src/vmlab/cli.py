@@ -28,7 +28,7 @@ from . import __version__
 from . import inequalities as ineq
 from . import maxwell as mx
 from . import pic, retarded
-from .phase import save_ensemble
+from .phase import IneqReport, save_ensemble
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -81,7 +81,9 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     try:
-        result = pic.run(scn)
+        # a floating-point fault ends the run as a non-finite state does
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = pic.run(scn)
     except (ValueError, FloatingPointError) as exc:
         print(f"error: run aborted: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -120,8 +122,7 @@ _SUITES = ("identities", "geometry", "singular", "interpolation",
 
 
 def _suite_identities(seed, count):
-    cfg = ineq.SamplerConfig(seed=seed, count=count)
-    reports = [ineq.flux_identity_suite(cfg)]
+    reports = [ineq.flux_identity_suite(seed, count)]
     # null-coordinate identity: 1 - |xi|^2 = 4 psi (t-s-psi) / (t-s)^2
     rng = np.random.default_rng(seed + 1)
     t = 1.0 + rng.random(count) * 9.0
@@ -132,15 +133,14 @@ def _suite_identities(seed, count):
     psi = 0.5 * (t - s - r)
     rhs = 4.0 * psi * (t - s - psi) / (t - s) ** 2
     res = float(np.max(np.abs((1.0 - xi_sq) - rhs)))
-    reports.append(ineq.IneqReport(
+    reports.append(IneqReport(
         name="null_coordinate_identity", n_samples=count, max_ratio=res,
-        witness=None, passed=res < 1e-12, details={}))
+        witness=None, passed=res < 1e-12))
     return reports, all(r.passed for r in reports)
 
 
 def _suite_geometry(seed, count):
-    cfg = ineq.SamplerConfig(seed=seed, count=count)
-    reports = list(ineq.geometry_bounds_check(cfg).values())
+    reports = list(ineq.geometry_bounds_check(seed, count).values())
     return reports, all(r.passed for r in reports)
 
 
@@ -199,11 +199,10 @@ def _suite_strichartz(seed, count):
     }
     reports = []
     for name, exps in sets.items():
-        ok, violated = ineq.strichartz_admissible(*exps)
-        reports.append(ineq.IneqReport(
-            name=f"strichartz.{name}", n_samples=1,
-            max_ratio=0.0, witness=[str(e) for e in exps], passed=ok,
-            details={"violated": violated}))
+        reports.append(IneqReport(
+            name=f"strichartz.{name}", n_samples=1, max_ratio=0.0,
+            witness=[str(e) for e in exps],
+            passed=ineq.strichartz_admissible(*exps)[0]))
     return reports, all(r.passed for r in reports)
 
 
@@ -234,7 +233,6 @@ def cmd_verify(args) -> int:
         for rep in reports:
             records.append(rep.to_dict())
     for rec in records:
-        rec.pop("details", None)
         print(json.dumps(rec, sort_keys=True))
     print()
     print(f"{'check':40s} {'samples':>9s} {'max ratio':>12s} {'pass':>5s}")

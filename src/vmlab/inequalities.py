@@ -11,19 +11,18 @@ only up to an unspecified constant report an empirical constant instead.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .maxwell import flux_identity_lhs, good_component_sq
-from .phase import embed3, interpolation_check, p0_of, unit_direction
-from .retarded import RetardedQuadrature, box_inverse
+from .phase import (IneqReport, embed3, interpolation_check, p0_of,
+                    unit_direction)
+from .retarded import RetardedQuadrature, box_inverse, gauss_rule
 
 __all__ = [
-    "IneqReport",
-    "SamplerConfig",
     "sample_momenta_xi",
     "flux_identity_check",
     "flux_identity_suite",
@@ -37,57 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class IneqReport:
-    """Outcome of one inequality/identity check.
-
-    ``max_ratio`` is sup over samples of lhs/rhs (or the max residual for an
-    identity); ``witness`` reproduces it; ``passed`` means the hard bound
-    held (for identity/explicit-constant checks) or the ratio is finite."""
-
-    name: str
-    n_samples: int
-    max_ratio: float
-    witness: object
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, (list, tuple)):
-                return [clean(u) for u in v]
-            if isinstance(v, dict):
-                return {k: clean(u) for k, u in v.items()}
-            return v
-        return {"name": self.name, "n_samples": self.n_samples,
-                "max_ratio": clean(self.max_ratio),
-                "witness": clean(self.witness), "passed": bool(self.passed),
-                "details": clean(self.details)}
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Random sampling plan: the seed and the number of (p, xi) draws."""
-
-    seed: int = 0
-    count: int = 100_000
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-
-def sample_momenta_xi(cfg: SamplerConfig, d_p: int = 3):
-    """Random (p, xi) with heavy momentum tails and the stress regimes mixed
-    in: a slice with |phat| > 1 - 1e-6, a slice with |xi| > 1 - 1e-6, and a
-    slice with xi nearly antiparallel to phat (1 + phat.xi -> 0), each an
-    eighth of the draws."""
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.count
+def sample_momenta_xi(seed: int, n: int, d_p: int = 3):
+    """``n`` random (p, xi) from ``seed``, with heavy momentum tails and the
+    stress regimes mixed in: a slice with |phat| > 1 - 1e-6, a slice with
+    |xi| > 1 - 1e-6, and a slice with xi nearly antiparallel to phat
+    (1 + phat.xi -> 0), each an eighth of the draws."""
+    rng = np.random.default_rng(seed)
     k = n // 8
     mag = np.exp(rng.uniform(-3.0, 9.0, n))
     mag[:k] = np.exp(rng.uniform(7.0, 20.0, k))   # |phat| > 1 - 1e-6
@@ -133,11 +87,11 @@ def flux_identity_check(E, B, omega) -> float:
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def flux_identity_suite(cfg: SamplerConfig) -> IneqReport:
+def flux_identity_suite(seed: int, n: int) -> IneqReport:
     """Residuals of the flux identity (and its planar reduction, which halves
-    the component list) over random triples including planar-ansatz ones."""
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.count
+    the component list) over ``n`` >= 3 random triples from ``seed``, a third
+    of them planar-ansatz ones."""
+    rng = np.random.default_rng(seed)
     E = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-3, 6, (n, 1)))
     B = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-3, 6, (n, 1)))
     # planar-ansatz subset: E in-plane, B out-of-plane
@@ -173,7 +127,7 @@ _GEOMETRY_CONSTANTS = {
 }
 
 
-def geometry_bounds_check(cfg: SamplerConfig, d_p: int = 3) -> dict:
+def geometry_bounds_check(seed: int, n: int, d_p: int = 3) -> dict:
     """The six light-cone geometry bounds with their explicit constants,
     for omega = xi/|xi| (arbitrary unit direction when xi = 0):
 
@@ -185,9 +139,10 @@ def geometry_bounds_check(cfg: SamplerConfig, d_p: int = 3) -> dict:
       |xi_k (phat.xi) - phat_k| <= sqrt(8) (1 + phat.xi)^(1/2),  k = 1, 2.
 
     Returns {name: IneqReport}; ``max_ratio`` is lhs / (constant * rhs), so
-    every bound holds iff every max_ratio <= 1.
+    every bound holds iff every max_ratio <= 1. The ``n`` samples are
+    ``sample_momenta_xi(seed, n, d_p)``.
     """
-    p, xi = sample_momenta_xi(cfg, d_p=d_p)
+    p, xi = sample_momenta_xi(seed, n, d_p)
     p0 = p0_of(p)
     phat = embed3(p) / p0[:, None]
     xi_mag = np.sqrt(np.sum(xi * xi, axis=1))
@@ -214,7 +169,7 @@ def geometry_bounds_check(cfg: SamplerConfig, d_p: int = 3) -> dict:
         out[name] = IneqReport(
             name=f"geometry.{name}", n_samples=p.shape[0],
             max_ratio=float(ratio[k]),
-            witness={"p": p[k].copy(), "xi": xi[k].copy()},
+            witness={"p": p[k].tolist(), "xi": xi[k].tolist()},
             passed=bool(ratio[k] <= 1.0 + 1e-12),
             details={"constant": c})
     return out
@@ -225,15 +180,11 @@ def geometry_bounds_check(cfg: SamplerConfig, d_p: int = 3) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _mapped_nodes(n: int, scale: float = 1.0):
+def _mapped_nodes(n: int):
     """Gauss-Legendre nodes mapped from (0, 1) to (0, inf) via
-    rho = scale * u / (1 - u); returns (rho, weights including the Jacobian)."""
-    u, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    rho = scale * u / (1.0 - u)
-    jac = scale / (1.0 - u) ** 2
-    return rho, w * jac
+    rho = u / (1 - u); returns (rho, weights including the Jacobian)."""
+    u, w = gauss_rule(n, 0.0, 1.0)
+    return u / (1.0 - u), w * (1.0 / (1.0 - u) ** 2)
 
 
 def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
@@ -262,22 +213,20 @@ def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
     if np.any(xi_mags >= 1.0) or np.any(xi_mags < 0.0):
         raise ValueError("|xi| sweep must lie in [0, 1)")
 
+    if mode not in ("2d", "2.5d"):
+        raise ValueError(f"mode must be '2d' or '2.5d', got {mode!r}")
+    rho, wr = _mapped_nodes(n_nodes)
+    eps2 = 1.0 - xi_mags ** 2
     if mode == "2d":
-        g = profile
-        rho, wr = _mapped_nodes(n_nodes)
-        gv = np.asarray(g(rho), dtype=float)
+        gv = np.asarray(profile(rho), dtype=float)
         p0sq = 1.0 + rho ** 2
         mom2 = 2.0 * np.pi * float(np.sum(wr * gv * p0sq * rho))
         mom4 = 2.0 * np.pi * float(np.sum(wr * gv * p0sq ** 2 * rho))
-        if not (math.isfinite(mom2) and math.isfinite(mom4)):
-            raise ValueError("profile lacks the required p0 moments")
-        eps2 = 1.0 - xi_mags ** 2
         lhs = 2.0 * np.pi * np.sum(
             wr[None, :] * gv[None, :] * rho[None, :]
             / np.sqrt(1.0 + rho[None, :] ** 2 * eps2[:, None]), axis=1)
-    elif mode == "2.5d":
+    else:
         g, h = profile
-        rho, wr = _mapped_nodes(n_nodes)
         p3, wp = _mapped_nodes(n_nodes // 2)
         gv = np.asarray(g(rho), dtype=float)
         hv = np.asarray(h(p3), dtype=float)     # even extension in p3
@@ -296,16 +245,13 @@ def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
                 * rho[:, None] * 2.0)           # even in p3
         mom2 = 2.0 * np.pi * float(np.sum(meas * p0sq))
         mom4 = 2.0 * np.pi * float(np.sum(meas * p0sq ** 2))
-        if not (math.isfinite(mom2) and math.isfinite(mom4)):
-            raise ValueError("profile lacks the required p0 moments")
-        eps2 = 1.0 - xi_mags ** 2
         w3 = bp3[None, :] ** 1.5
         lhs = np.empty(len(xi_mags))
         for i, e2 in enumerate(eps2):
             den = np.sqrt(1.0 + p3[None, :] ** 2 + rho[:, None] ** 2 * e2)
             lhs[i] = 2.0 * np.pi * float(np.sum(meas * w3 / den))
-    else:
-        raise ValueError(f"mode must be '2d' or '2.5d', got {mode!r}")
+    if not (math.isfinite(mom2) and math.isfinite(mom4)):
+        raise ValueError("profile lacks the required p0 moments")
 
     rhs1 = mom2 ** 0.4 / np.maximum(eps2, 1e-300) ** 0.4
     rhs2 = mom4 ** 0.4
@@ -333,20 +279,13 @@ def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
 
 def interpolation_suite(profiles, configs) -> list:
     """Run interpolation_check over a battery; one report per (profile,
-    config) combination. ``configs`` entries are dicts of keyword arguments
-    for interpolation_check."""
-    reports = []
-    for pi, density in enumerate(profiles):
-        for ci, cfg in enumerate(configs):
-            rep = interpolation_check(density, **cfg)
-            reports.append(IneqReport(
-                name=f"interpolation.p{pi}.c{ci}", n_samples=1,
-                max_ratio=rep.ratio, witness=cfg,
-                passed=math.isfinite(rep.ratio),
-                details={"lhs": rep.lhs, "rhs": rep.rhs,
-                         "S": rep.S, "M": rep.M, "q": rep.q,
-                         "variant": rep.variant}))
-    return reports
+    config) combination, named by their indices, with the config as its
+    witness. ``configs`` entries are dicts of keyword arguments for
+    interpolation_check."""
+    return [dataclasses.replace(interpolation_check(density, **cfg),
+                                name=f"interpolation.p{pi}.c{ci}", witness=cfg)
+            for pi, density in enumerate(profiles)
+            for ci, cfg in enumerate(configs)]
 
 
 # --------------------------------------------------------------------------

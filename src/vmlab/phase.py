@@ -1,6 +1,6 @@
 """Phase-space primitives: momentum kinematics, cone geometry, particle
-ensembles and their p0 moments, the moment interpolation check, and
-ensemble snapshots.
+ensembles and their p0 moments, the record every paper estimate returns,
+the moment interpolation check, and ensemble snapshots.
 
 Units are dimensionless with the speed of light c = 1, so the energy of a
 momentum p is p0 = sqrt(1 + |p|^2) and the velocity is phat = p / p0 with
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +22,7 @@ __all__ = [
     "p0_of",
     "unit_direction",
     "ConeGeometry",
-    "InterpolationReport",
+    "IneqReport",
     "cone_coords",
     "moment",
     "interpolation_check",
@@ -173,20 +173,30 @@ def moment(ens: ParticleEnsemble, N: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Interpolation inequality check
+# Estimate records and the interpolation inequality check
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    S: float
-    M: float
-    q: float
-    d_p: int
-    variant: str
+@dataclass
+class IneqReport:
+    """Outcome of one inequality/identity check, the record ``verify`` prints.
+
+    ``max_ratio`` is sup over samples of lhs/rhs (or the max residual for an
+    identity); ``witness`` reproduces it, in JSON values; ``passed`` means
+    the hard bound held (for identity/explicit-constant checks) or the ratio
+    is finite. ``to_dict`` leaves ``details`` out."""
+
+    name: str
+    n_samples: int
+    max_ratio: float
+    witness: object
+    passed: bool
+    details: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "n_samples": self.n_samples,
+                "max_ratio": self.max_ratio, "witness": self.witness,
+                "passed": bool(self.passed)}
 
 
 def _p_grid(d_p: int, p_max: float, n: int):
@@ -203,7 +213,7 @@ def interpolation_check(density, S: float, M: float, q: float, d_p: int,
                         x_extent: float = 4.0, p_max: float = 8.0,
                         nx: int = 24, n_p: int = 48,
                         delta: float | None = None,
-                        variant: str = "general") -> InterpolationReport:
+                        variant: str = "general") -> IneqReport:
     """Numerically evaluate both sides of a p0-moment interpolation inequality.
 
     ``density`` is a callable g(x, p) accepting x of shape (m, 2) and p of
@@ -217,7 +227,8 @@ def interpolation_check(density, S: float, M: float, q: float, d_p: int,
                          min(M, 5+delta) >= S > -2 and the p3-line integrals
                          of g <p3>^{5+delta} are uniformly bounded.
 
-    Returns the two sides and their ratio (defined as 0 when both vanish).
+    Returns an IneqReport named "interpolation" whose ``max_ratio`` is
+    lhs / rhs (0 when both vanish), with the two sides in ``details``.
     """
     if variant not in ("general", "linebound"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -263,8 +274,10 @@ def interpolation_check(density, S: float, M: float, q: float, d_p: int,
     rhs_norm = float(np.sum(rhs_x ** q_rhs) * hx * hx) ** (1.0 / q_rhs)
     rhs = rhs_norm ** beta
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
-    return InterpolationReport(lhs=lhs, rhs=rhs, ratio=ratio, S=S, M=M, q=q,
-                               d_p=d_p, variant=variant)
+    return IneqReport(name="interpolation", n_samples=1, max_ratio=ratio,
+                      witness=dict(S=S, M=M, q=q, d_p=d_p, variant=variant),
+                      passed=math.isfinite(ratio),
+                      details={"lhs": lhs, "rhs": rhs})
 
 
 # --------------------------------------------------------------------------

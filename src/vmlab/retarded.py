@@ -19,6 +19,7 @@ phat.xi uses only the first two momentum components; a ^ b = a1 b2 - a2 b1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,19 +28,18 @@ import numpy as np
 
 from . import maxwell as mx
 from . import pic
-from .phase import embed3, p0_of, unit_direction
+from .phase import IneqReport, embed3, p0_of, unit_direction
 
 __all__ = [
     "RetardedQuadrature",
     "kernel_arrays_2d",
     "kernel_arrays_25d",
-    "KernelBoundReport",
     "kernel_bound_check",
+    "gauss_rule",
     "box_inverse",
     "RepresentationReport",
     "field_from_representation",
     "grid_field_at",
-    "EpsilonSplitReport",
     "epsilon_split_eval",
     "slab_weights",
 ]
@@ -136,20 +136,9 @@ def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class KernelBoundReport:
-    mode: str
-    n_samples: int
-    constants: dict          # component -> sup |kernel| / majorant
-    witnesses: dict          # component -> (p, xi) attaining the sup
-
-    @property
-    def all_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.constants.values())
-
-
-def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> KernelBoundReport:
-    """Empirical constants sup |kernel component| / majorant over samples.
+def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> dict:
+    """Empirical constants sup |kernel component| / majorant over samples,
+    as {component: IneqReport} with the (p, xi) attaining each sup.
 
     Planar majorants: T kernels against 1/(p0^2 (1+phat.xi)^(3/2)); S-matrix
     entries against 1/(p0 (1+phat.xi)). 3-momentum majorants: T kernels
@@ -160,14 +149,16 @@ def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> KernelBoundR
     xi = np.asarray(xi, dtype=float)
     p0, _, _, kappa = _prep(p, xi)
     one = 1.0 + kappa
-    constants = {}
-    witnesses = {}
+    out = {}
 
     def record(name, vals, major):
         ratio = vals / major
         k = int(np.argmax(ratio))
-        constants[name] = float(ratio[k])
-        witnesses[name] = (p[k].copy(), xi[k].copy())
+        out[name] = IneqReport(
+            name=f"kernel_bound.{mode}.{name}", n_samples=p.shape[0],
+            max_ratio=float(ratio[k]),
+            witness={"p": p[k].tolist(), "xi": xi[k].tolist()},
+            passed=math.isfinite(ratio[k]))
 
     if mode == "2d":
         eT, bT, es, bs = kernel_arrays_2d(p, xi)
@@ -188,8 +179,7 @@ def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> KernelBoundR
         record("bS", np.abs(dbS).max(axis=(-2, -1)), maj_s)
     else:
         raise ValueError(f"mode must be one of {mx.MODES}, got {mode!r}")
-    return KernelBoundReport(mode=mode, n_samples=p.shape[0],
-                             constants=constants, witnesses=witnesses)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +203,18 @@ class RetardedQuadrature:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _gauss(n: int, a: float, b: float):
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], built once, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_rule(n: int, a: float, b: float):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]."""
+    x, w = _legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -234,9 +234,9 @@ def box_inverse(F, t: float, x, quad: RetardedQuadrature | None = None) -> float
     if quad is None:
         quad = RetardedQuadrature()
     x = np.asarray(x, dtype=float)
-    s_nodes, s_wts = _gauss(quad.n_s, 0.0, t)
-    phi_nodes, phi_wts = _gauss(quad.n_phi, 0.0, 0.5 * np.pi)
-    th_nodes, th_wts = _gauss(quad.n_theta, 0.0, 2.0 * np.pi)
+    s_nodes, s_wts = gauss_rule(quad.n_s, 0.0, t)
+    phi_nodes, phi_wts = gauss_rule(quad.n_phi, 0.0, 0.5 * np.pi)
+    th_nodes, th_wts = gauss_rule(quad.n_theta, 0.0, 2.0 * np.pi)
     om = np.stack([np.cos(th_nodes), np.sin(th_nodes)], axis=-1)   # (nt, 2)
     total = 0.0
     for s, ws in zip(s_nodes, s_wts):
@@ -426,8 +426,14 @@ def _free_field_rerun(history: "pic.RunHistory", k: int, free_x):
     return fields
 
 
-def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
-    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3)."""
+def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
+               xs: np.ndarray):
+    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3).
+    In 2d mode only E1, E2 and B3 are gathered; E3, B1 and B2 vanish there."""
+    if mode == "2d":
+        e1, e2, b3 = pic.gather_cic(grid, np.stack([E[0], E[1], B[2]]), xs)
+        zero = np.zeros_like(b3)
+        return np.stack([e1, e2, zero], -1), np.stack([zero, zero, b3], -1)
     eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
     return eb[:, :3], eb[:, 3:]
 
@@ -435,7 +441,7 @@ def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
     k = _history_index(history, t)
-    E, B = _gather_eb(history.grid, history.E[k], history.B[k],
+    E, B = _gather_eb(history.mode, history.grid, history.E[k], history.B[k],
                       np.asarray(x, dtype=float).reshape(1, 2))
     return E[0], B[0]
 
@@ -518,8 +524,8 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         c = _cone_rows(X, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
             P = history.part_p[j][c.idx]
-            E, B = _gather_eb(history.grid, history.E[j], history.B[j],
-                              X[c.idx])
+            E, B = _gather_eb(mode, history.grid, history.E[j],
+                              history.B[j], X[c.idx])
             p3 = embed3(P)
             force = E + np.cross(p3 / p0_of(p3)[:, None], B)
             kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
@@ -529,7 +535,7 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         if c.idx.size:
             free_sums.add_step(c, history.part_p[0][c.idx], w[c.idx])
 
-    g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B,
+    g_E, g_B = _gather_eb(mode, g_fields.grid, g_fields.E, g_fields.B,
                           probe.reshape(1, 2))
     return RepresentationReport(
         t=t, x=probe,
@@ -543,23 +549,8 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class EpsilonSplitReport:
-    eps: float
-    lhs: float             # full singular cone integral of the T majorant
-    lhs_interior: float    # contribution with |xi| <= 1 - eps
-    lhs_collar: float      # contribution with |xi| > 1 - eps
-    rhs: float             # eps^(-1/10) G^(2/5) + eps^(3/10) H^(2/5)
-    term_g: float          # cone integral of the p0^2 moment
-    term_h: float          # cone integral of the p0^4 moment
-
-    @property
-    def ratio(self) -> float:
-        return 0.0 if self.rhs == 0.0 else self.lhs / self.rhs
-
-
 def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
-                       eps: float) -> EpsilonSplitReport:
+                       eps: float) -> IneqReport:
     """Evaluate both sides of the eps-split bound for the singular T integral:
 
       integral of F / ((t-s) sqrt(...))  <=  C [ eps^(-1/10) (integral of
@@ -568,6 +559,10 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
     with F the momentum integral of f <p3>^3(3-mom.) or f (planar) over
     p0 (1 + phat.xi), G and H the p0^2 and p0^4 moments of f. All cone
     integrals are particle sums with the exact slab weights.
+
+    Returns an IneqReport "epsilon_split" of lhs / rhs (0 when rhs is 0) over
+    the cone rows summed, with lhs, its |xi| <= 1 - eps and > 1 - eps parts
+    lhs_interior and lhs_collar, rhs, term_g and term_h in ``details``.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must be in (0, 1], got {eps}")
@@ -580,8 +575,10 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
     lhs_col = 0.0
     term_g = 0.0
     term_h = 0.0
+    rows = 0
     for j, tau_lo, tau_hi in _cone_slabs(history.times, t):
         c = _cone_rows(history.part_x[j], t, probe, box, tau_lo, tau_hi)
+        rows += c.idx.size
         wp = w[c.idx]
         P = history.part_p[j][c.idx]
         p3 = embed3(P)
@@ -594,6 +591,10 @@ def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
         term_g += float(np.sum(wp * p0 ** 2 * c.w2))
         term_h += float(np.sum(wp * p0 ** 4 * c.w2))
     rhs = eps ** (-0.1) * term_g ** 0.4 + eps ** 0.3 * term_h ** 0.4
-    return EpsilonSplitReport(eps=eps, lhs=lhs_int + lhs_col,
-                              lhs_interior=lhs_int, lhs_collar=lhs_col,
-                              rhs=rhs, term_g=term_g, term_h=term_h)
+    lhs = lhs_int + lhs_col
+    ratio = 0.0 if rhs == 0.0 else lhs / rhs
+    return IneqReport(
+        name="epsilon_split", n_samples=rows, max_ratio=ratio,
+        witness={"eps": eps}, passed=math.isfinite(ratio),
+        details={"lhs": lhs, "lhs_interior": lhs_int, "lhs_collar": lhs_col,
+                 "rhs": rhs, "term_g": term_g, "term_h": term_h})

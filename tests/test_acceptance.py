@@ -65,7 +65,7 @@ def golden_repr_result():
 
 def test_flux_identity_hundred_thousand_triples():
     t0 = time.perf_counter()
-    rep = ineq.flux_identity_suite(ineq.SamplerConfig(seed=0, count=100_000))
+    rep = ineq.flux_identity_suite(0, 100_000)
     elapsed = time.perf_counter() - t0
     assert rep.n_samples == 100_000
     assert rep.max_ratio < 1e-12
@@ -80,8 +80,7 @@ def test_flux_identity_hundred_thousand_triples():
 
 def test_geometry_bounds_million_samples():
     t0 = time.perf_counter()
-    reports = ineq.geometry_bounds_check(
-        ineq.SamplerConfig(seed=1, count=1_000_000))
+    reports = ineq.geometry_bounds_check(1, 1_000_000)
     elapsed = time.perf_counter() - t0
     expected = {
         "xi_plus_phat": math.sqrt(2.0),

@@ -1,11 +1,17 @@
 """Command-line entry points: exit codes, output artifacts, manifest
 integrity, and override handling."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from vmlab import cli, pic
 from vmlab import maxwell as mx
@@ -347,3 +353,85 @@ class TestGoldenScenarioFiles:
         # canonical form of the scenario it loads to
         on_disk = json.loads(path.read_text())
         assert on_disk == pic.load_scenario(path).to_canonical_dict()
+
+
+def _key_paths(cfg: dict) -> list:
+    """Every key path of a scenario: the top-level keys and the members of
+    its nested objects as ``f0.alpha``."""
+    return [k for k in cfg] + [f"{k}.{m}" for k, v in cfg.items()
+                               if isinstance(v, dict) for m in v]
+
+
+_NUMBER = st.one_of(st.integers(-3, 200), st.floats(-1e3, 1e3),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+# small values only: no draw may allocate a large grid or ensemble
+_VALUE = st.one_of(_NUMBER, st.booleans(), st.text(max_size=6), st.none(),
+                   st.lists(_NUMBER | st.lists(_NUMBER, max_size=3),
+                            max_size=3))
+_MAX_STEPS = 40
+
+
+def _simulate_mutated(path, key, value):
+    """Run ``vmlab simulate`` on the golden scenario at ``path`` cut to
+    2,000 particles and 3 steps, unless ``key`` is one of those two, with
+    ``key`` set to ``value``; return the exit code and stderr, or None when
+    the scenario loads but asks for more than ``_MAX_STEPS`` steps."""
+    cfg = json.loads(path.read_text())
+    cfg["n_particles"] = 2000
+    cfg["t_final"] = 3 * cfg["dt"]
+    head, _, leaf = key.partition(".")
+    if leaf:
+        cfg[head][leaf] = value
+    else:
+        cfg[key] = value
+    try:
+        if pic.scenario_from_dict(cfg).n_steps > _MAX_STEPS:
+            return None
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "scenario.json"
+        f.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("simulate", str(f), "--out", str(Path(tmp) / "o"))
+    return code, err.getvalue()
+
+
+class TestScenarioBoundary:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_one_mutated_key_exits_cleanly(self, data):
+        path = data.draw(st.sampled_from(GOLDEN_SCENARIOS), label="scenario")
+        key = data.draw(st.sampled_from(_key_paths(json.loads(
+            path.read_text()))), label="key")
+        out = _simulate_mutated(path, key, data.draw(_VALUE, label="value"))
+        # a valid t_final or dt may ask for any number of steps; only the
+        # short runs are run
+        assume(out is not None)
+        code, err = out
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE)
+        if code == cli.EXIT_USAGE:
+            assert key in err
+
+    @pytest.mark.parametrize("name,key,value,code", [
+        # the blob's resampling would keep almost none of its draws
+        ("golden_2d", "f0.sigma_x", 1000.0, cli.EXIT_USAGE),
+        # 2 sigma^2 underflows to 0 in the initial Gaussian field
+        ("golden_25d", "fields0.a3_sigma", 2.2250738585072014e-308,
+         cli.EXIT_FAIL),
+        ("golden_25d", "fields0.e3_sigma", 5e-324, cli.EXIT_FAIL),
+        # the sampled momenta overflow
+        ("golden_2d", "f0.alpha", 2.0000001, cli.EXIT_FAIL),
+        ("golden_25d", "f0.p3_nu", 1e-300, cli.EXIT_FAIL),
+    ])
+    def test_found_inputs(self, name, key, value, code):
+        # inputs that ended with a RuntimeWarning raised deep in the run,
+        # or sampled for a long time: each exits with one stderr line
+        got, err = _simulate_mutated(SCENARIOS_DIR / f"{name}.json", key,
+                                     value)
+        assert got == code
+        assert len(err.splitlines()) == 1
+        if code == cli.EXIT_USAGE:
+            assert key in err

@@ -16,7 +16,7 @@ from vmlab import retarded as rt
 
 class TestFluxIdentity:
     def test_suite_passes(self):
-        rep = ineq.flux_identity_suite(ineq.SamplerConfig(seed=0, count=5000))
+        rep = ineq.flux_identity_suite(0, 5000)
         assert rep.passed
         assert rep.max_ratio < 1e-12
 
@@ -38,8 +38,7 @@ class TestFluxIdentity:
 
 class TestGeometryBounds:
     def test_all_six_with_stress_regions(self):
-        cfg = ineq.SamplerConfig(seed=1, count=100_000)
-        reports = ineq.geometry_bounds_check(cfg)
+        reports = ineq.geometry_bounds_check(1, 100_000)
         assert len(reports) == 6
         for name, rep in reports.items():
             assert rep.passed, (name, rep.max_ratio, rep.witness)
@@ -47,8 +46,7 @@ class TestGeometryBounds:
     def test_constants_are_attained_somewhere(self):
         # the |xi + phat| and |xi - omega| bounds are tight: the observed
         # sup ratio should approach 1
-        cfg = ineq.SamplerConfig(seed=2, count=200_000)
-        reports = ineq.geometry_bounds_check(cfg)
+        reports = ineq.geometry_bounds_check(2, 200_000)
         assert reports["xi_plus_phat"].max_ratio > 0.95
         assert reports["xi_minus_omega"].max_ratio > 0.95
 
@@ -203,8 +201,7 @@ class TestConeSplit:
 
 class TestSamplers:
     def test_stress_slices_present(self):
-        cfg = ineq.SamplerConfig(seed=0, count=8000)
-        p, xi = ineq.sample_momenta_xi(cfg, d_p=3)
+        p, xi = ineq.sample_momenta_xi(0, 8000, d_p=3)
         phat = p / np.sqrt(1 + np.sum(p * p, axis=1))[:, None]
         assert np.max(np.linalg.norm(phat, axis=1)) > 1.0 - 1e-6
         assert np.max(np.linalg.norm(xi, axis=1)) > 1.0 - 1e-6
@@ -213,6 +210,6 @@ class TestSamplers:
     @pytest.mark.parametrize("count", [1, 7])
     def test_fewer_draws_than_eight(self, count):
         # each stress slice is count // 8 draws, so none here
-        p, xi = ineq.sample_momenta_xi(ineq.SamplerConfig(seed=0, count=count))
+        p, xi = ineq.sample_momenta_xi(0, count)
         assert p.shape == (count, 3) and xi.shape == (count, 2)
         assert np.all(np.linalg.norm(xi, axis=1) <= 1.0)

@@ -137,18 +137,18 @@ class TestInterpolation:
         # S = M makes both sides identical
         rep = phase.interpolation_check(self._profile(12.0), S=2.0, M=2.0,
                                         q=1.0, d_p=2)
-        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+        assert rep.max_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_general_variant_bounded(self):
         rep = phase.interpolation_check(self._profile(12.0), S=1.0, M=3.0,
                                         q=4.0 / 3.0, d_p=2)
-        assert 0.0 < rep.ratio < 2.0
+        assert 0.0 < rep.max_ratio < 2.0
 
     def test_linebound_variant(self):
         rep = phase.interpolation_check(self._profile(12.0), S=1.0, M=3.0,
                                         q=0.0, d_p=3, delta=1.0,
                                         variant="linebound")
-        assert 0.0 < rep.ratio < 2.0
+        assert 0.0 < rep.max_ratio < 2.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -115,6 +115,21 @@ class TestScenario:
         assert scn.grid.nx == 32
 
 
+    def test_blob_wider_than_the_box_rejected(self):
+        with pytest.raises(ValueError, match=r"^inline: f0\.sigma_x: must be "
+                           r"at most box = 20\.0, got 21\.0$"):
+            pic.scenario_from_dict(small_cfg(f0={"sigma_x": 21.0}),
+                                   path="inline")
+
+    def test_readme_schema_table_is_the_rule_table(self):
+        # the README's table of scenario keys is pic._RULES, row for row
+        text = (SCENARIOS.parent / "README.md").read_text()
+        table = text.split("| key | requirement |\n| --- | --- |\n")[1]
+        rows = [re.fullmatch(r"\| `([\w.]+)` \| (.+) \|", line).groups()
+                for line in table.split("\n\n")[0].splitlines()]
+        assert rows == [(k, need) for k, (_, need) in pic._RULES.items()]
+
+
 class TestSampling:
     def test_deterministic(self):
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
@@ -276,6 +291,55 @@ class TestRun:
         assert rep["charge_drift"] == 0.0
         assert rep["energy_drift"] < 1e-4
         assert rep["tracer_invariant_drift"] < 1e-4
+
+    @pytest.mark.parametrize("cfg,n_tracers,present", [
+        (small_cfg, 20, False), (small_cfg_25d, 0, False),
+        (small_cfg_25d, 20, True)])
+    def test_tracer_drift_only_with_tracers(self, cfg, n_tracers, present):
+        res = pic.run(pic.scenario_from_dict(
+            cfg(n_tracers=n_tracers, t_final=0.1), path="inline"))
+        rep = pic.conservation_report(res)
+        assert ("tracer_invariant_drift" in rep) == present
+        if present:
+            drift = res.series.column("tracer_invariant_drift")
+            assert rep["tracer_invariant_drift"] == drift.max() > 0.0
+
+    def test_gauss_growth_at_rounding_level_is_one(self):
+        # residuals of a few 1e-16 that wander up in the later half are
+        # rounding, below 64 eps max(rho_max) sqrt(lx ly) = 1.3e-14
+        res = pic.run(pic.scenario_from_dict(small_cfg(t_final=0.1),
+                                             path="inline"))
+        cols = res.series.columns
+        data = np.zeros((6, len(cols)))
+        data[:, cols.index("time")] = np.arange(6) * 0.05
+        data[:, cols.index("rho_max")] = 0.046
+        data[:, cols.index("gauss_residual")] = [3e-16, 4e-16, 3.5e-16,
+                                                 4.7e-16, 5e-16, 4.9e-16]
+        series = pic.DiagnosticSeries(columns=cols, data=data)
+        rep = pic.conservation_report(dataclasses.replace(res, series=series))
+        assert rep["gauss_growth"] == 1.0
+
+    def test_gauss_growth_without_correction_in_the_later_half(self):
+        # golden_2d at 20,000 particles with the Gauss correction switched
+        # off after half the steps: the residual grows far above rounding
+        cfg = pic.load_scenario(SCENARIOS / "golden_2d.json").to_canonical_dict()
+        cfg.update(n_particles=20_000)
+        scn = pic.scenario_from_dict(cfg, path="inline")
+
+        class HalfCorrected:
+            reads = 0
+
+            def __getattr__(self, name):
+                return getattr(scn, name)
+
+            @property
+            def gauss_correction(self):
+                HalfCorrected.reads += 1
+                return HalfCorrected.reads <= scn.n_steps // 2
+
+        rep = pic.conservation_report(pic.run(HalfCorrected()))
+        assert HalfCorrected.reads == scn.n_steps
+        assert rep["gauss_growth"] > 1e6
 
     def test_dt_bound_enforced(self):
         scn = pic.scenario_from_dict(small_cfg(dt=1.0, t_final=1.0),
