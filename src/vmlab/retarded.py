@@ -426,14 +426,8 @@ def _free_field_rerun(history: "pic.RunHistory", k: int, free_x):
     return fields
 
 
-def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
-               xs: np.ndarray):
-    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3).
-    In 2d mode only E1, E2 and B3 are gathered; E3, B1 and B2 vanish there."""
-    if mode == "2d":
-        e1, e2, b3 = pic.gather_cic(grid, np.stack([E[0], E[1], B[2]]), xs)
-        zero = np.zeros_like(b3)
-        return np.stack([e1, e2, zero], -1), np.stack([zero, zero, b3], -1)
+def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
+    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3)."""
     eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
     return eb[:, :3], eb[:, 3:]
 
@@ -441,7 +435,7 @@ def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
     k = _history_index(history, t)
-    E, B = _gather_eb(history.mode, history.grid, history.E[k], history.B[k],
+    E, B = _gather_eb(history.grid, history.E[k], history.B[k],
                       np.asarray(x, dtype=float).reshape(1, 2))
     return E[0], B[0]
 
@@ -524,8 +518,8 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         c = _cone_rows(X, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
             P = history.part_p[j][c.idx]
-            E, B = _gather_eb(mode, history.grid, history.E[j],
-                              history.B[j], X[c.idx])
+            E, B = _gather_eb(history.grid, history.E[j], history.B[j],
+                              X[c.idx])
             p3 = embed3(P)
             force = E + np.cross(p3 / p0_of(p3)[:, None], B)
             kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
@@ -535,7 +529,7 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         if c.idx.size:
             free_sums.add_step(c, history.part_p[0][c.idx], w[c.idx])
 
-    g_E, g_B = _gather_eb(mode, g_fields.grid, g_fields.E, g_fields.B,
+    g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B,
                           probe.reshape(1, 2))
     return RepresentationReport(
         t=t, x=probe,

@@ -312,16 +312,6 @@ class TestRepresentation:
         assert (rt.epsilon_split_eval(h, 0.3, x, 0.1)
                 == rt.epsilon_split_eval(h, 0.3 - 5e-10, x, 0.1))
 
-    def test_planar_gather_equals_six_component_gather(self):
-        # a 2d history gathers E1, E2 and B3 only; E3, B1 and B2 vanish
-        h = _history(t_final=0.1)
-        x = h.part_x[-1][:500]
-        planar = rt._gather_eb("2d", h.grid, h.E[-1], h.B[-1], x)
-        full = rt._gather_eb("2.5d", h.grid, h.E[-1], h.B[-1], x)
-        assert np.any(full[0][:, :2]) and np.any(full[1][:, 2])
-        for a, b in zip(planar, full):
-            assert np.array_equal(a, b)
-
     def test_report_fields(self):
         h = _history(t_final=0.3)
         rep = rt.field_from_representation(h, 0.3, (11.0, 10.0))
