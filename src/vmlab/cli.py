@@ -95,7 +95,9 @@ def cmd_simulate(args) -> int:
     outputs.append("diagnostics.csv")
     save_ensemble(result.ensemble, os.path.join(out_dir, "ensemble.csv"))
     outputs.append("ensemble.csv")
-    mx.save_field(result.fields, os.path.join(out_dir, "fields.csv"))
+    # the clock of the last step, which the last diagnostics row holds
+    mx.save_field(result.fields, result.series.column("time")[-1],
+                  os.path.join(out_dir, "fields.csv"))
     outputs.append("fields.csv")
     if result.history is not None:
         result.history.save_npz(os.path.join(out_dir, "history.npz"))
@@ -214,6 +216,10 @@ def cmd_verify(args) -> int:
     if args.count < 3:
         # flux_identity_suite checks a third of its draws on the planar ansatz
         print(f"error: --count must be at least 3, got {args.count}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: --seed must be nonnegative, got {args.seed}",
               file=sys.stderr)
         return EXIT_USAGE
     jobs = {

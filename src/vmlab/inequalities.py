@@ -127,7 +127,7 @@ _GEOMETRY_CONSTANTS = {
 }
 
 
-def geometry_bounds_check(seed: int, n: int, d_p: int = 3) -> dict:
+def geometry_bounds_check(seed: int, n: int) -> dict:
     """The six light-cone geometry bounds with their explicit constants,
     for omega = xi/|xi| (arbitrary unit direction when xi = 0):
 
@@ -139,10 +139,10 @@ def geometry_bounds_check(seed: int, n: int, d_p: int = 3) -> dict:
       |xi_k (phat.xi) - phat_k| <= sqrt(8) (1 + phat.xi)^(1/2),  k = 1, 2.
 
     Returns {name: IneqReport}; ``max_ratio`` is lhs / (constant * rhs), so
-    every bound holds iff every max_ratio <= 1. The ``n`` samples are
-    ``sample_momenta_xi(seed, n, d_p)``.
+    every bound holds iff every max_ratio <= 1. The ``n`` samples are the
+    3-momenta ``sample_momenta_xi(seed, n)``.
     """
-    p, xi = sample_momenta_xi(seed, n, d_p)
+    p, xi = sample_momenta_xi(seed, n)
     p0 = p0_of(p)
     phat = embed3(p) / p0[:, None]
     xi_mag = np.sqrt(np.sum(xi * xi, axis=1))
@@ -187,8 +187,8 @@ def _mapped_nodes(n: int):
     return u / (1.0 - u), w * (1.0 / (1.0 - u) ** 2)
 
 
-def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
-                                  delta: float = 1.0, n_nodes: int = 800) -> IneqReport:
+def singular_integral_lemma_check(profile, xi_mags, mode: str,
+                                  n_nodes: int = 800) -> IneqReport:
     """Both singular momentum-integral estimates over a |xi| sweep.
 
     Planar mode, ``profile`` a radial density g(|p|):
@@ -204,7 +204,7 @@ def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
     the lhs carries the weight <p3>^3 and reduces to a 2D (r, p3) quadrature
     by the same closed-form angular integral; the rhs moments are 3D. The
     implied constant depends on the p3-line bound, so h must make
-    integral of <p3>^(5+delta) h dp3 finite (checked, error otherwise).
+    integral of <p3>^(5+delta) h dp3 finite, delta = 1 (else ValueError).
 
     Returns an IneqReport whose details carry the per-|xi| ratios; ratios are
     reported, not asserted against a constant.
@@ -231,13 +231,13 @@ def singular_integral_lemma_check(profile, xi_mags, mode: str = "2d",
         gv = np.asarray(g(rho), dtype=float)
         hv = np.asarray(h(p3), dtype=float)     # even extension in p3
         bp3 = 1.0 + p3 ** 2
-        line = 2.0 * float(np.sum(wp * hv * bp3 ** ((5.0 + delta) / 2.0)))
+        line = 2.0 * float(np.sum(wp * hv * bp3 ** 3.0))  # <p3>^(5+delta), delta = 1
         # the mapped quadrature is finite even for divergent integrals, so
         # test integrability of <p3>^(5+delta) h directly: the integrand must
         # decay strictly faster than 1/p3 in the far tail
         big = 1.0e4
-        t_r = float(h(big)) * (1.0 + big ** 2) ** ((5.0 + delta) / 2.0)
-        t_2r = float(h(2.0 * big)) * (1.0 + (2.0 * big) ** 2) ** ((5.0 + delta) / 2.0)
+        t_r = float(h(big)) * (1.0 + big ** 2) ** 3.0
+        t_2r = float(h(2.0 * big)) * (1.0 + (2.0 * big) ** 2) ** 3.0
         if not math.isfinite(line) or (t_r > 0.0 and 2.0 * t_2r >= t_r):
             raise ValueError("profile violates the <p3>^(5+delta) line bound")
         p0sq = 1.0 + rho[:, None] ** 2 + p3[None, :] ** 2
@@ -480,8 +480,6 @@ def strichartz_empirical(sources, exponents, T: float = 1.0,
 
 def cone_split_check(G, H, F, t: float, x, eps_list,
                      quad: RetardedQuadrature | None = None,
-                     hypothesis_samples: int = 2000,
-                     hypothesis_constant: float = 1.0,
                      seed: int = 0) -> IneqReport:
     """Check the eps-split bound for the singular cone integral:
 
@@ -491,8 +489,8 @@ def cone_split_check(G, H, F, t: float, x, eps_list,
       integral of F / ((t-s) sqrt(...))  <=  C' [ eps^(-1/10) (integral of
       G / sqrt(...))^(2/5) + eps^(3/10) (integral of H / sqrt(...))^(2/5) ]
 
-    for every eps in (0, 1]. The hypotheses are sampled first (with the
-    given constant); a violation raises with the witness point. G, H are
+    for every eps in (0, 1]. The hypotheses are sampled first, at 2000
+    points with C = 1; a violation raises with the witness point. G, H are
     samplers (s, y) -> values; F is (s, y, xi_sq) -> values where xi_sq is
     |xi|^2 at those points. Returns the max lhs/rhs ratio over eps_list.
     """
@@ -500,16 +498,16 @@ def cone_split_check(G, H, F, t: float, x, eps_list,
         quad = RetardedQuadrature()
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
-    s = rng.random(hypothesis_samples) * t
-    rr = (t - s) * np.sqrt(rng.random(hypothesis_samples))
-    phi = rng.random(hypothesis_samples) * 2.0 * np.pi
+    s = rng.random(2000) * t
+    rr = (t - s) * np.sqrt(rng.random(2000))
+    phi = rng.random(2000) * 2.0 * np.pi
     y = x[None, :] + rr[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     xi_sq = (rr / np.maximum(t - s, 1e-300)) ** 2
     fv = np.asarray([float(F(sk, yk[None, :], np.array([xk]))[0])
                      for sk, yk, xk in zip(s, y, xi_sq)])
     gv = np.asarray([float(G(sk, yk[None, :])[0]) for sk, yk in zip(s, y)])
     hv = np.asarray([float(H(sk, yk[None, :])[0]) for sk, yk in zip(s, y)])
-    tol = hypothesis_constant * (1.0 + 1e-9)
+    tol = 1.0 + 1e-9
     bad1 = fv > tol * gv ** 0.4 / np.maximum(1.0 - xi_sq, 1e-300) ** 0.4
     bad2 = fv > tol * hv ** 0.4
     if np.any(bad1 & bad2):

@@ -26,7 +26,6 @@ from .phase import ParticleEnsemble, embed3
 __all__ = [
     "Grid",
     "FieldState",
-    "SourceDensities",
     "step_maxwell",
     "constraint_residual",
     "poisson_efield",
@@ -100,7 +99,6 @@ class FieldState:
     grid: Grid
     E: np.ndarray
     B: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -120,23 +118,6 @@ class FieldState:
     def zeros(cls, mode: str, grid: Grid) -> "FieldState":
         z = np.zeros((3, grid.nx, grid.ny))
         return cls(mode=mode, grid=grid, E=z.copy(), B=z.copy())
-
-
-@dataclass
-class SourceDensities:
-    """Charge density rho (nx, ny) and current density j (3, nx, ny)."""
-
-    grid: Grid
-    rho: np.ndarray
-    j: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.j = np.asarray(self.j, dtype=float)
-        if self.rho.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError("rho shape mismatch")
-        if self.j.shape != (3, self.grid.nx, self.grid.ny):
-            raise ValueError("j shape mismatch")
 
 
 # --------------------------------------------------------------------------
@@ -161,8 +142,9 @@ def _cross_khat(khat1, khat2, v):
     ])
 
 
-def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float) -> FieldState:
-    """Advance E, B by dt with the current held constant over the step.
+def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
+    """Advance E, B by dt with the current density j (3, nx, ny) held
+    constant over the step.
 
     Per Fourier mode the curl system dE/dt = ik x B - j, dB/dt = -ik x E is
     solved exactly: the transverse pair rotates with angle |k| dt and the
@@ -180,15 +162,16 @@ def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float) -> Fie
     rotating; smooth fields carry negligible energy there.
     """
     g = fields.grid
-    if sources.grid != g:
-        raise ValueError("sources must live on the field grid")
+    if np.shape(j) != (3, g.nx, g.ny):
+        raise ValueError(f"current must have the field grid's shape "
+                         f"{(3, g.nx, g.ny)}, got {np.shape(j)}")
     h = min(g.hx, g.hy)
     if dt > h * (1.0 + 1e-12):
         raise ValueError(f"time step dt={dt} violates dt <= h = {h}")
 
     Ek = _fft2(fields.E)
     Bk = _fft2(fields.B)
-    jk = _fft2(sources.j)
+    jk = _fft2(j)
 
     kx, ky = g.wavenumbers()
     kmag = np.sqrt(kx * kx + ky * ky)
@@ -226,7 +209,7 @@ def step_maxwell(fields: FieldState, sources: SourceDensities, dt: float) -> Fie
         E[2] = 0.0
         B[0] = 0.0
         B[1] = 0.0
-    return FieldState(mode=fields.mode, grid=g, E=E, B=B, time=fields.time + dt)
+    return FieldState(mode=fields.mode, grid=g, E=E, B=B)
 
 
 def constraint_residual(fields: FieldState, rho: np.ndarray) -> tuple[float, float]:
@@ -315,12 +298,9 @@ def field_energy(fields: FieldState) -> float:
     return 0.5 * float(np.sum(fields.E ** 2 + fields.B ** 2)) * g.cell
 
 
-def energy(fields: FieldState, ens: ParticleEnsemble | None = None) -> float:
+def energy(fields: FieldState, ens: ParticleEnsemble) -> float:
     """Total energy (1/2)∫(|E|^2+|B|^2) dx + 4π Σ_i w_i p0_i."""
-    out = field_energy(fields)
-    if ens is not None and len(ens):
-        out += 4.0 * np.pi * float(np.sum(ens.w * ens.p0))
-    return out
+    return field_energy(fields) + 4.0 * np.pi * float(np.sum(ens.w * ens.p0))
 
 
 def flux_identity_lhs(E, B, omega):
@@ -403,24 +383,25 @@ class SpectralWave:
 #
 # Snapshot format (documented byte-exact):
 #   line 1: "# mode=<mode> nx=<nx> ny=<ny> lx=<lx> ly=<ly> time=<t>"
-#           with repr() floats
+#           with repr() floats; t is the time the caller gives
 #   then one line per component in the order E1,E2,E3,B1,B2,B3, each holding
 #   the row-major (C-order) grid values joined by "," via repr().
 # Newlines are "\n"; encoding is ASCII.
 
 
-def save_field(fields: FieldState, path) -> None:
+def save_field(fields: FieldState, time: float, path) -> None:
     g = fields.grid
     with open(path, "w", newline="") as fh:
         fh.write(f"# mode={fields.mode} nx={g.nx} ny={g.ny} "
                  f"lx={float(g.lx)!r} ly={float(g.ly)!r} "
-                 f"time={float(fields.time)!r}\n")
+                 f"time={float(time)!r}\n")
         for arr in (*fields.E, *fields.B):
             fh.write(",".join(repr(float(v)) for v in arr.ravel(order="C")))
             fh.write("\n")
 
 
-def load_field(path) -> FieldState:
+def load_field(path) -> tuple[FieldState, float]:
+    """Read a ``save_field`` snapshot: the fields and the time in its header."""
     with open(path) as fh:
         head = fh.readline().strip()
         if not head.startswith("# mode="):
@@ -433,6 +414,6 @@ def load_field(path) -> FieldState:
             line = fh.readline()
             vals = np.array([float(v) for v in line.strip().split(",")])
             comps.append(vals.reshape(grid.nx, grid.ny))
-    return FieldState(mode=meta["mode"], grid=grid,
-                      E=np.stack(comps[:3]), B=np.stack(comps[3:]),
-                      time=float(meta["time"]))
+    fields = FieldState(mode=meta["mode"], grid=grid,
+                        E=np.stack(comps[:3]), B=np.stack(comps[3:]))
+    return fields, float(meta["time"])

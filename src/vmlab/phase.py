@@ -114,7 +114,7 @@ class ParticleEnsemble:
     """Weighted macro-particles sampling f(t, x, p).
 
     x:   (n, 2) positions inside the periodic box [0, box[0]) x [0, box[1])
-    p:   (n, dim_p) momenta
+    p:   (n, dim_p) momenta, dim_p 2 (planar) or 3
     w:   (n,) strictly positive weights; sum(w) approximates the total mass
          of f (integral over x and p)
 
@@ -122,7 +122,6 @@ class ParticleEnsemble:
     velocities ``phat`` are computed once, on first use.
     """
 
-    dim_p: int
     x: np.ndarray
     p: np.ndarray
     w: np.ndarray
@@ -133,14 +132,12 @@ class ParticleEnsemble:
         self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
         self.w = np.asarray(self.w, dtype=float).ravel()
         self.box = np.asarray(self.box, dtype=float).ravel()
-        if self.dim_p not in (2, 3):
-            raise ValueError(f"dim_p must be 2 or 3, got {self.dim_p}")
         n = self.x.shape[0]
         if self.x.shape != (n, 2):
             raise ValueError(f"positions must have shape (n, 2), got {self.x.shape}")
-        if self.p.shape != (n, self.dim_p):
-            raise ValueError(
-                f"momenta must have shape (n, {self.dim_p}), got {self.p.shape}")
+        if self.p.shape not in ((n, 2), (n, 3)):
+            raise ValueError(f"momenta must have shape (n, 2) or (n, 3), "
+                             f"got {self.p.shape}")
         if self.w.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {self.w.shape}")
         if n and not np.all(self.w > 0):
@@ -150,6 +147,10 @@ class ParticleEnsemble:
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def dim_p(self) -> int:
+        return self.p.shape[1]
 
     @cached_property
     def p0(self) -> np.ndarray:
@@ -210,14 +211,14 @@ def _p_grid(d_p: int, p_max: float, n: int):
 
 
 def interpolation_check(density, S: float, M: float, q: float, d_p: int,
-                        x_extent: float = 4.0, p_max: float = 8.0,
-                        nx: int = 24, n_p: int = 48,
                         delta: float | None = None,
                         variant: str = "general") -> IneqReport:
     """Numerically evaluate both sides of a p0-moment interpolation inequality.
 
     ``density`` is a callable g(x, p) accepting x of shape (m, 2) and p of
-    shape (k, d_p) and returning nonnegative values of shape (m, k).
+    shape (k, d_p) and returning nonnegative values of shape (m, k). Both
+    sides are midpoint sums over 24 x 24 points of [-4, 4]^2 in x and 48
+    points per axis of [-8, 8]^d_p in p.
 
     variant "general":   || p0^S g ||_{Lq_x L1_p}
                          <= C || p0^M g ||_{L^{q(S+d_p)/(M+d_p)}_x L1_p}^{(S+d_p)/(M+d_p)}
@@ -255,11 +256,11 @@ def interpolation_check(density, S: float, M: float, q: float, d_p: int,
         q_rhs = 1.0
 
     # midpoint grids
-    xe = np.linspace(-x_extent, x_extent, nx + 1)
+    xe = np.linspace(-4.0, 4.0, 24 + 1)
     xm = 0.5 * (xe[:-1] + xe[1:])
     hx = xm[1] - xm[0]
     xg = np.stack([a.ravel() for a in np.meshgrid(xm, xm, indexing="ij")], axis=-1)
-    pts, p_cell = _p_grid(d_p, p_max, n_p)
+    pts, p_cell = _p_grid(d_p, 8.0, 48)
     p0 = p0_of(pts)
 
     lhs_x = np.empty(xg.shape[0])
@@ -323,5 +324,5 @@ def load_ensemble(path) -> ParticleEnsemble:
         arr = np.asarray(rows)
     else:
         arr = np.zeros((0, 3 + dim_p))
-    return ParticleEnsemble(dim_p=dim_p, x=arr[:, :2], p=arr[:, 2:2 + dim_p],
+    return ParticleEnsemble(x=arr[:, :2], p=arr[:, 2:2 + dim_p],
                             w=arr[:, 2 + dim_p], box=np.asarray(box))

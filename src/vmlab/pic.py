@@ -109,7 +109,8 @@ class Scenario:
     fields0 parameters: ``poisson`` (solve the curl-free E from the initial
     charge), ``a3_amp``/``a3_sigma`` (3-momentum mode: Gaussian gauge bump
     A3 = amp * exp(-|x-c|^2 / (2 sigma^2)) generating in-plane B),
-    ``e3_amp``/``e3_sigma`` (Gaussian out-of-plane electric field).
+    ``e3_amp``/``e3_sigma`` (Gaussian out-of-plane electric field). Each
+    width is at least the grid spacing ``box / grid_n``.
     """
 
     mode: str
@@ -149,10 +150,18 @@ class Scenario:
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
             raise ValueError(f"t_final: must be a whole number of steps "
                              f"of dt = {self.dt!r}, got {self.t_final!r}")
+        if self.n_steps < 1:
+            raise ValueError(f"t_final: must be at least one step of "
+                             f"dt = {self.dt!r}, got {self.t_final!r}")
         sigma_x = self.f0.get("sigma_x", 1.0)
         if sigma_x > self.box:  # sample_ensemble redraws until inside
             raise ValueError(f"f0.sigma_x: must be at most box = {self.box!r}, "
                              f"got {sigma_x!r}")
+        for key in ("a3_sigma", "e3_sigma"):  # the field Gaussians' widths
+            if self.fields0.get(key, math.inf) < self.box / self.grid_n:
+                raise ValueError(f"fields0.{key}: must be at least the grid "
+                                 f"spacing box / grid_n = {self.box!r} / "
+                                 f"{self.grid_n!r}, got {self.fields0[key]!r}")
         self.moment_orders = tuple(float(N) for N in self.moment_orders)
 
     @property
@@ -260,8 +269,7 @@ def sample_ensemble(scn: Scenario) -> ParticleEnsemble:
     else:
         p = p_plane
     w = np.full(n, mass / max(n, 1))
-    return ParticleEnsemble(dim_p=scn.dim_p, x=x, p=p, w=w,
-                            box=np.array([scn.box, scn.box]))
+    return ParticleEnsemble(x=x, p=p, w=w, box=np.array([scn.box, scn.box]))
 
 
 def initial_fields(scn: Scenario, rho: np.ndarray) -> tuple[mx.FieldState, np.ndarray | None]:
@@ -363,9 +371,9 @@ def _gather(arr: np.ndarray, idx: np.ndarray, *weights) -> list:
     return [np.moveaxis(acc, 0, -1) for acc in sums]
 
 
-def deposit(ens: ParticleEnsemble, grid: mx.Grid) -> mx.SourceDensities:
+def deposit(ens: ParticleEnsemble, grid: mx.Grid) -> tuple[np.ndarray, np.ndarray]:
     """CIC deposition of charge 4*pi*integral(f dp) and current
-    4*pi*integral(phat f dp) onto the grid."""
+    4*pi*integral(phat f dp) onto the grid: (rho (nx, ny), j (3, nx, ny))."""
     if len(ens) and (np.any(ens.x < 0) or np.any(ens.x[:, 0] >= grid.lx)
                      or np.any(ens.x[:, 1] >= grid.ly)):
         raise ValueError("particle outside the periodic box")
@@ -382,8 +390,7 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid) -> mx.SourceDensities:
         for c in range(ens.dim_p):
             np.multiply(q, phat[:, c], out=qc)
             j[c] = np.bincount(idx, weights=qc.ravel(), minlength=size)
-    return mx.SourceDensities(grid=grid, rho=rho.reshape(grid.nx, grid.ny),
-                              j=j.reshape(3, grid.nx, grid.ny))
+    return rho.reshape(grid.nx, grid.ny), j.reshape(3, grid.nx, grid.ny)
 
 
 def gather_cic(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -554,16 +561,16 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 
-def _diag_row(t, fields, ens, src, scn, tracer_inv_drift) -> list:
+def _diag_row(t, fields, ens, rho, scn, tracer_inv_drift) -> list:
     """One diagnostics row as (column name, value) pairs, time first."""
-    resE, resB = mx.constraint_residual(fields, src.rho)
+    resE, resB = mx.constraint_residual(fields, rho)
     kmag = np.sqrt(np.sum(fields.E ** 2 + fields.B ** 2, axis=0))
     kmax = float(kmag.max())
     row = [("time", t), ("energy", mx.energy(fields, ens)),
            ("field_energy", mx.field_energy(fields)),
            ("gauss_residual", resE), ("divb_residual", resB),
            ("total_charge", 4.0 * np.pi * float(np.sum(ens.w))),
-           ("rho_max", float(src.rho.max())),
+           ("rho_max", float(rho.max())),
            ("k_linf", kmax)]
     for N in scn.moment_orders:
         q = N + scn.dim_p
@@ -597,9 +604,8 @@ def run(scn: Scenario) -> RunResult:
         raise ValueError(f"dt={scn.dt} violates the step bound "
                          f"dt <= h = {min(grid.hx, grid.hy)}")
     ens = sample_ensemble(scn)
-    src = deposit(ens, grid)
-    fields, a3 = initial_fields(scn, src.rho)
-    dim_p = scn.dim_p
+    rho, j = deposit(ens, grid)
+    fields, a3 = initial_fields(scn, rho)
     box = np.array([scn.box, scn.box])
 
     n_steps = scn.n_steps
@@ -609,7 +615,7 @@ def run(scn: Scenario) -> RunResult:
         history = RunHistory(
             mode=scn.mode, grid=grid, times=np.zeros(k),
             E=np.zeros((k,) + shape), B=np.zeros((k,) + shape),
-            part_x=np.zeros((k, n, 2)), part_p=np.zeros((k, n, dim_p)),
+            part_x=np.zeros((k, n, 2)), part_p=np.zeros((k, n, scn.dim_p)),
             w=ens.w.copy())
 
     n_tr = min(scn.n_tracers, len(ens)) if a3 is not None else 0
@@ -622,11 +628,11 @@ def run(scn: Scenario) -> RunResult:
         inv0 = tracer_invariant()
     if history is not None:
         history.record(0, t, fields, ens)
-    rows = [_diag_row(t, fields, ens, src, scn, 0.0)]
+    rows = [_diag_row(t, fields, ens, rho, scn, 0.0)]
 
     for step in range(n_steps):
         # half field step with the current at t
-        fields_half = mx.step_maxwell(fields, src, 0.5 * scn.dt)
+        fields_half = mx.step_maxwell(fields, j, 0.5 * scn.dt)
         # full particle step with the time-centered fields
         a3_half = None
         if a3 is not None:
@@ -635,10 +641,10 @@ def run(scn: Scenario) -> RunResult:
         sampler = make_field_sampler(fields_half, a3_half)
         xn, pn = chars.push_many(ens.x, ens.p, sampler, scn.dt)
         xn = wrap_box(xn, box)
-        ens = ParticleEnsemble(dim_p=dim_p, x=xn, p=pn, w=ens.w, box=box)
+        ens = ParticleEnsemble(x=xn, p=pn, w=ens.w, box=box)
         # half field step with the current at t + dt
-        src = deposit(ens, grid)
-        fields = mx.step_maxwell(fields_half, src, 0.5 * scn.dt)
+        rho, j = deposit(ens, grid)
+        fields = mx.step_maxwell(fields_half, j, 0.5 * scn.dt)
         if scn.gauss_correction:
             kx, ky = grid.gradient_wavenumbers()
             e1k = np.fft.fft2(fields.E[0])
@@ -646,7 +652,7 @@ def run(scn: Scenario) -> RunResult:
             k2 = kx * kx + ky * ky
             ks = np.where(k2 > 0, k2, 1.0)
             par = np.where(k2 > 0, (kx * e1k + ky * e2k) / ks, 0.0)
-            el = mx.poisson_efield(src.rho, grid)
+            el = mx.poisson_efield(rho, grid)
             fields.E[0] += el[0] - np.fft.ifft2(kx * par).real
             fields.E[1] += el[1] - np.fft.ifft2(ky * par).real
         if a3 is not None:
@@ -654,7 +660,6 @@ def run(scn: Scenario) -> RunResult:
             a3 = mx.evolve_a3(a3_half, e3_mid, 0.5 * scn.dt)
         # one clock: step k is at k * dt, not at a sum of k increments
         t = (step + 1) * scn.dt
-        fields.time = t
         state = {"x": ens.x, "p": ens.p, "E": fields.E, "B": fields.B}
         if a3 is not None:
             state["A3"] = a3
@@ -668,7 +673,7 @@ def run(scn: Scenario) -> RunResult:
             drift = 0.0
             if n_tr:
                 drift = float(np.abs(tracer_invariant() - inv0).max())
-            rows.append(_diag_row(t, fields, ens, src, scn, drift))
+            rows.append(_diag_row(t, fields, ens, rho, scn, drift))
 
     series = DiagnosticSeries(columns=[name for name, _ in rows[0]],
                               data=np.asarray([[v for _, v in r] for r in rows]))
@@ -720,13 +725,13 @@ def conservation_report(result: RunResult) -> dict:
     return report
 
 
-def moment_inequality_monitor(result: RunResult, N: float | None = None) -> dict:
+def moment_inequality_monitor(result: RunResult) -> dict:
     """Empirical constant in the moment growth bound: the time derivative of
     ||p0^N f||^(1/(N+d_p)) is controlled by the spatial L^(N+d_p) norm of the
-    field magnitude |K| = |(E, B)|. Reports sup over steps of the ratio."""
+    field magnitude |K| = |(E, B)|, for N the scenario's first moment order.
+    Reports sup over steps of the ratio."""
     scn = result.scenario
-    if N is None:
-        N = scn.moment_orders[0]
+    N = scn.moment_orders[0]
     d_p = scn.dim_p
     s = result.series
     t = s.column("time")

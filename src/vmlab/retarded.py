@@ -408,21 +408,20 @@ def _free_field_rerun(history: "pic.RunHistory", k: int, free_x):
     of the force-free flow, using the same split-step structure as the PIC
     loop (half step with the old current, half step with the new one)."""
     grid = history.grid
-    dim_p = history.part_p.shape[2]
     box = np.array([grid.lx, grid.ly])
     fields = mx.FieldState(history.mode, grid, history.E[0], history.B[0])
 
-    def src_at(j):
-        ens = pic.ParticleEnsemble(dim_p=dim_p, x=free_x[j], w=history.w,
+    def current_at(j):
+        ens = pic.ParticleEnsemble(x=free_x[j], w=history.w,
                                    p=history.part_p[0], box=box)
-        return pic.deposit(ens, grid)
+        return pic.deposit(ens, grid)[1]
 
-    src = src_at(0)
+    cur = current_at(0)
     for j in range(k):
         dt = history.times[j + 1] - history.times[j]
-        fields = mx.step_maxwell(fields, src, 0.5 * dt)
-        src = src_at(j + 1)
-        fields = mx.step_maxwell(fields, src, 0.5 * dt)
+        fields = mx.step_maxwell(fields, cur, 0.5 * dt)
+        cur = current_at(j + 1)
+        fields = mx.step_maxwell(fields, cur, 0.5 * dt)
     return fields
 
 
@@ -487,23 +486,22 @@ def field_from_representation(history: "pic.RunHistory", t: float, x):
     isolates the contribution determined purely by the initial data, with
     the particle-discretization error cancelling between the two T sums.
 
-    ``x`` is one probe point (2,), which gives one report, or a stack (m, 2)
-    of probes at the same t, which gives a list of m reports; the force-free
-    flow and its grid re-run are built once for the stack. Raises
-    ``ValueError`` when a probe sits on a particle (see ``_cone_rows``).
+    ``x`` is a stack (m, 2) of probes at the same t, which gives a list of m
+    reports; the force-free flow and its grid re-run are built once for the
+    stack. Raises ``ValueError`` when a probe sits on a particle (see
+    ``_cone_rows``).
     """
     probes = np.asarray(x, dtype=float)
-    if probes.ndim not in (1, 2) or probes.shape[-1] != 2:
-        raise ValueError(f"x must have shape (2,) or (m, 2), got {probes.shape}")
+    if probes.ndim != 2 or probes.shape[1] != 2:
+        raise ValueError(f"x must have shape (m, 2), got {probes.shape}")
     k = _history_index(history, t)
     box = np.array([history.grid.lx, history.grid.ly])
     free_x = _free_positions(history, k, box)
     g_fields = _free_field_rerun(history, k, free_x)
     # the cone ends at the stored time the probe t was matched to
     slabs = _cone_slabs(history.times, float(history.times[k]))
-    reports = [_probe_report(history, t, probe, box, slabs, free_x, g_fields)
-               for probe in probes.reshape(-1, 2)]
-    return reports[0] if probes.ndim == 1 else reports
+    return [_probe_report(history, t, probe, box, slabs, free_x, g_fields)
+            for probe in probes]
 
 
 def _probe_report(history, t, probe, box, slabs, free_x, g_fields):

@@ -124,6 +124,19 @@ class TestSimulate:
                        "--dt", "0.07") == cli.EXIT_USAGE
         assert "t_final" in capsys.readouterr().err
 
+    def test_fields_snapshot_time_is_the_last_step(self, small_scenario,
+                                                  tmp_path):
+        # ten additions of 0.05 give 0.49999999999999994; the run's clock
+        # reads step k at k * dt
+        cfg = json.loads(small_scenario.read_text())
+        cfg["t_final"] = 0.5
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli("simulate", str(f), "--out", str(out)) == cli.EXIT_OK
+        head = (out / "fields.csv").read_text().split("\n", 1)[0]
+        assert head.endswith(" time=0.5")
+
     def test_nonfinite_field_is_run_failure(self, small_scenario, tmp_path,
                                             monkeypatch, capsys):
         # one step: the second Maxwell half-step ends it with a non-finite
@@ -135,8 +148,8 @@ class TestSimulate:
         step_maxwell = mx.step_maxwell
         calls = []
 
-        def poisoned(fields, src, dt):
-            out = step_maxwell(fields, src, dt)
+        def poisoned(fields, j, dt):
+            out = step_maxwell(fields, j, dt)
             calls.append(dt)
             if len(calls) == 2:
                 out.B[0, 3, 4] = np.inf
@@ -194,6 +207,13 @@ class TestVerify:
         assert capsys.readouterr().err == \
             f"error: --count must be at least 3, got {count}\n"
 
+    @pytest.mark.parametrize("suite", ["identities", "all"])
+    def test_negative_seed_is_usage_error(self, suite, capsys):
+        assert run_cli("verify", suite, "--seed", "-1",
+                       "--count", "10") == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: --seed must be nonnegative, got -1\n"
+
     def test_smallest_count_runs(self, capsys):
         assert run_cli("verify", "identities", "--count", "3") == cli.EXIT_OK
 
@@ -238,7 +258,7 @@ class TestFieldsCompare:
         history = pic.RunHistory.load_npz(history_run / "history.npz")
         assert len(records) == len(pts)
         for pr, rec in zip(pts, records):
-            one = rt.field_from_representation(history, pr["t"], pr["x"])
+            one = rt.field_from_representation(history, pr["t"], [pr["x"]])[0]
             for key, val in one.to_dict().items():
                 assert rec[key] == val, key
 
@@ -418,10 +438,12 @@ class TestScenarioBoundary:
     @pytest.mark.parametrize("name,key,value,code", [
         # the blob's resampling would keep almost none of its draws
         ("golden_2d", "f0.sigma_x", 1000.0, cli.EXIT_USAGE),
-        # 2 sigma^2 underflows to 0 in the initial Gaussian field
+        # a field Gaussian narrower than a grid cell (2 sigma^2 underflowed)
         ("golden_25d", "fields0.a3_sigma", 2.2250738585072014e-308,
-         cli.EXIT_FAIL),
-        ("golden_25d", "fields0.e3_sigma", 5e-324, cli.EXIT_FAIL),
+         cli.EXIT_USAGE),
+        ("golden_25d", "fields0.e3_sigma", 5e-324, cli.EXIT_USAGE),
+        # a positive t_final shorter than half a step
+        ("golden_2d", "t_final", 1e-12, cli.EXIT_USAGE),
         # the sampled momenta overflow
         ("golden_2d", "f0.alpha", 2.0000001, cli.EXIT_FAIL),
         ("golden_25d", "f0.p3_nu", 1e-300, cli.EXIT_FAIL),

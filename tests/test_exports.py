@@ -1,5 +1,6 @@
 """Module exports: every name in a module's ``__all__`` exists there, is
-listed once, and earns a route; no module imports a name it never uses.
+listed once, and earns a route; no module imports a name it never uses;
+every defaulted parameter is set by some call.
 
 A route is a chain of references that reaches the name from a root. The
 roots are the names referenced in ``cli.py``, in ``tests/test_acceptance.py``
@@ -12,6 +13,7 @@ code."""
 
 import ast
 import importlib
+import math
 import pkgutil
 import re
 from collections import defaultdict
@@ -140,3 +142,50 @@ def test_no_unused_module_import(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(f"{b} (line {ln})" for b, ln in imported.items()
                   if b not in used) == []
+
+
+def _call_sites() -> tuple:
+    """Called name -> (most positional arguments, keyword names) over every
+    call in ``src/vmlab``, ``tests`` and ``perfbench``. A ``*args`` or
+    ``**kwargs`` pass-through names no parameter."""
+    npos, keywords = defaultdict(int), defaultdict(set)
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    for path in paths:
+        for n in ast.walk(_parse(path)):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            pos = 0
+            for arg in n.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                pos += 1
+            npos[name] = max(npos[name], pos)
+            keywords[name] |= {k.arg for k in n.keywords if k.arg}
+    return npos, keywords
+
+
+def test_every_default_is_set_by_a_call():
+    # a parameter that no call sets is a constant, and belongs in the body
+    npos, keywords = _call_sites()
+    unset = []
+    for path in SRC.glob("*.py"):
+        tree = _parse(path)
+        methods = {id(f) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            a = f.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            if id(f) in methods and params[:1] in (["self"], ["cls"]):
+                params = params[1:]           # bound by the attribute call
+            # (position, name) of each defaulted parameter; keyword-only
+            # parameters have no position
+            defaulted = list(enumerate(params))[len(params) - len(a.defaults):]
+            defaulted += [(math.inf, p.arg) for p, d
+                          in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            unset += [f"{path.stem}.{f.name}({arg})" for i, arg in defaulted
+                      if arg not in keywords[f.name] and npos[f.name] <= i]
+    assert sorted(unset) == []

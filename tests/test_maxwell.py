@@ -17,9 +17,8 @@ def _grid(n=32, box=10.0):
     return mx.Grid(n, n, box, box)
 
 
-def _no_sources(grid):
-    return mx.SourceDensities(grid=grid, rho=np.zeros((grid.nx, grid.ny)),
-                              j=np.zeros((3, grid.nx, grid.ny)))
+def _no_current(grid):
+    return np.zeros((3, grid.nx, grid.ny))
 
 
 def _band_limited_state(grid, mode, seed=0):
@@ -85,7 +84,7 @@ class TestPropagator:
         dt = 0.05
         cur = st_
         for _ in range(20):
-            cur = mx.step_maxwell(cur, _no_sources(g), dt)
+            cur = mx.step_maxwell(cur, _no_current(g), dt)
         t = 20 * dt
         assert np.abs(cur.E[1] - np.cos(k * (x - t))).max() < 1e-12
         assert np.abs(cur.B[2] - np.cos(k * (x - t))).max() < 1e-12
@@ -97,24 +96,24 @@ class TestPropagator:
         e0 = mx.field_energy(st_)
         cur = st_
         for _ in range(100):
-            cur = mx.step_maxwell(cur, _no_sources(g), 0.05)
+            cur = mx.step_maxwell(cur, _no_current(g), 0.05)
         assert abs(mx.field_energy(cur) - e0) / e0 < 1e-12
 
     def test_reversibility(self):
         g = _grid(32)
         st_ = _band_limited_state(g, "2.5d", seed=4)
-        fwd = mx.step_maxwell(st_, _no_sources(g), 0.1)
-        back = mx.step_maxwell(fwd, _no_sources(g), -0.1)
+        fwd = mx.step_maxwell(st_, _no_current(g), 0.1)
+        back = mx.step_maxwell(fwd, _no_current(g), -0.1)
         assert np.abs(back.E - st_.E).max() < 1e-12
         assert np.abs(back.B - st_.B).max() < 1e-12
 
     def test_uniform_current_k0_mode(self):
         # at k = 0 the update is exactly dE/dt = -j
         g = _grid(16)
-        src = _no_sources(g)
-        src.j[0] += 2.0
+        j = _no_current(g)
+        j[0] += 2.0
         st_ = mx.FieldState.zeros("2.5d", g)
-        out = mx.step_maxwell(st_, src, 0.25)
+        out = mx.step_maxwell(st_, j, 0.25)
         assert np.allclose(out.E[0], -0.5)
         assert np.allclose(out.B, 0.0)
 
@@ -122,7 +121,15 @@ class TestPropagator:
         g = _grid(16, 1.0)   # h = 1/16
         st_ = mx.FieldState.zeros("2d", g)
         with pytest.raises(ValueError):
-            mx.step_maxwell(st_, _no_sources(g), 0.5)
+            mx.step_maxwell(st_, _no_current(g), 0.5)
+
+    def test_current_off_the_field_grid_rejected(self):
+        g = _grid(16)
+        st_ = mx.FieldState.zeros("2d", g)
+        with pytest.raises(ValueError, match="shape"):
+            mx.step_maxwell(st_, _no_current(_grid(8)), 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            mx.step_maxwell(st_, np.zeros((2, 16, 16)), 0.1)
 
     def test_divb_preserved(self):
         g = _grid(32)
@@ -138,7 +145,7 @@ class TestPropagator:
         _, res0 = mx.constraint_residual(st_, np.zeros((g.nx, g.ny)))
         cur = st_
         for _ in range(50):
-            cur = mx.step_maxwell(cur, _no_sources(g), 0.05)
+            cur = mx.step_maxwell(cur, _no_current(g), 0.05)
         _, res = mx.constraint_residual(cur, np.zeros((g.nx, g.ny)))
         assert res0 < 1e-12
         assert res < 1e-12
@@ -278,15 +285,14 @@ class TestSnapshots:
     def test_roundtrip_byte_identical(self, tmp_path):
         g = _grid(8)
         st_ = _band_limited_state(g, "2.5d", seed=9)
-        st_.time = 1.25
         f1, f2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
-        mx.save_field(st_, f1)
-        back = mx.load_field(f1)
+        mx.save_field(st_, 1.25, f1)
+        back, t = mx.load_field(f1)
         assert np.array_equal(st_.E, back.E)
         assert np.array_equal(st_.B, back.B)
-        assert back.time == st_.time
+        assert t == 1.25
         assert back.mode == "2.5d"
-        mx.save_field(back, f2)
+        mx.save_field(back, t, f2)
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_bad_header(self, tmp_path):

@@ -19,7 +19,7 @@ finite_momenta = st.lists(
 def one_particle(p):
     """A one-particle ensemble at momentum p."""
     p = np.asarray(p, dtype=float)
-    return phase.ParticleEnsemble(dim_p=len(p), x=np.zeros((1, 2)), p=p[None],
+    return phase.ParticleEnsemble(x=np.zeros((1, 2)), p=p[None],
                                   w=np.ones(1), box=[1.0, 1.0])
 
 
@@ -87,17 +87,17 @@ class TestEnsemble:
     def _ens(self, n=4, dim_p=2):
         rng = np.random.default_rng(0)
         return phase.ParticleEnsemble(
-            dim_p=dim_p, x=rng.random((n, 2)) * 10.0,
+            x=rng.random((n, 2)) * 10.0,
             p=rng.standard_normal((n, dim_p)), w=np.full(n, 0.25),
             box=[10.0, 10.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            phase.ParticleEnsemble(dim_p=2, x=np.zeros((2, 2)),
-                                   p=np.zeros((2, 3)), w=np.ones(2),
+            phase.ParticleEnsemble(x=np.zeros((2, 2)),
+                                   p=np.zeros((2, 4)), w=np.ones(2),
                                    box=[1.0, 1.0])
         with pytest.raises(ValueError):
-            phase.ParticleEnsemble(dim_p=2, x=np.zeros((2, 2)),
+            phase.ParticleEnsemble(x=np.zeros((2, 2)),
                                    p=np.zeros((2, 2)), w=np.array([1.0, 0.0]),
                                    box=[1.0, 1.0])
 
@@ -119,7 +119,7 @@ class TestEnsemble:
         assert phase.moment(ens, 0.0) == pytest.approx(float(np.sum(ens.w)))
 
     def test_moment_overflow_raises(self):
-        ens = phase.ParticleEnsemble(dim_p=2, x=np.zeros((1, 2)),
+        ens = phase.ParticleEnsemble(x=np.zeros((1, 2)),
                                      p=np.array([[1e150, 0.0]]),
                                      w=np.ones(1), box=[1.0, 1.0])
         with pytest.raises(FloatingPointError, match="N=4 "):
@@ -162,7 +162,7 @@ class TestInterpolation:
 class TestSnapshots:
     def test_roundtrip_exact_and_byte_identical(self, tmp_path):
         rng = np.random.default_rng(3)
-        ens = phase.ParticleEnsemble(dim_p=3, x=rng.random((7, 2)) * 5.0,
+        ens = phase.ParticleEnsemble(x=rng.random((7, 2)) * 5.0,
                                      p=rng.standard_normal((7, 3)) * 1e3,
                                      w=rng.random(7) + 0.1, box=[5.0, 5.0])
         f1 = tmp_path / "a.csv"
@@ -182,7 +182,7 @@ class TestSnapshots:
         n = 2 * phase._SAVE_BLOCK + 3
         p = rng.standard_normal((n, 2)) * 1e3
         p[:5, 0] = [-0.0, 5e-324, 1e300, 0.1, -1e-17]
-        ens = phase.ParticleEnsemble(dim_p=2, x=rng.random((n, 2)) * 5.0,
+        ens = phase.ParticleEnsemble(x=rng.random((n, 2)) * 5.0,
                                      p=p, w=rng.random(n) + 0.1,
                                      box=[5.0, 5.0])
         lines = ["# dim_p=2 box=5.0,5.0", "x1,x2,p1,p2,w"]
@@ -194,7 +194,7 @@ class TestSnapshots:
         assert f.read_text() == "\n".join(lines) + "\n"
 
     def test_empty_ensemble(self, tmp_path):
-        ens = phase.ParticleEnsemble(dim_p=2, x=np.zeros((0, 2)),
+        ens = phase.ParticleEnsemble(x=np.zeros((0, 2)),
                                      p=np.zeros((0, 2)), w=np.zeros(0),
                                      box=[1.0, 1.0])
         f = tmp_path / "e.csv"

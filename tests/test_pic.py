@@ -121,6 +121,25 @@ class TestScenario:
             pic.scenario_from_dict(small_cfg(f0={"sigma_x": 21.0}),
                                    path="inline")
 
+    @pytest.mark.parametrize("t_final,dt", [(1e-12, 0.05), (0.3, 1e12)])
+    def test_t_final_under_one_step_rejected(self, t_final, dt):
+        # t_final / dt rounds to 0 steps within the whole-number window
+        with pytest.raises(ValueError, match=rf"^inline: t_final: must be at "
+                           rf"least one step of dt = {re.escape(repr(dt))}, "):
+            pic.scenario_from_dict(small_cfg(t_final=t_final, dt=dt),
+                                   path="inline")
+
+    @pytest.mark.parametrize("key", ["a3_sigma", "e3_sigma"])
+    def test_field_gaussian_narrower_than_a_cell_rejected(self, key):
+        cfg = small_cfg_25d()                  # grid spacing 20 / 24
+        cfg["fields0"][key] = 0.8
+        with pytest.raises(ValueError, match=rf"^inline: fields0\.{key}: must "
+                           r"be at least the grid spacing box / grid_n = "
+                           r"20\.0 / 24, got 0\.8$"):
+            pic.scenario_from_dict(cfg, path="inline")
+        cfg["fields0"][key] = 20.0 / 24
+        pic.scenario_from_dict(cfg, path="inline")
+
     def test_readme_schema_table_is_the_rule_table(self):
         # the README's table of scenario keys is pic._RULES, row for row
         text = (SCENARIOS.parent / "README.md").read_text()
@@ -161,8 +180,8 @@ class TestDeposit:
     def test_charge_is_conserved_exactly(self):
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
         ens = pic.sample_ensemble(scn)
-        src = pic.deposit(ens, scn.grid)
-        total = np.sum(src.rho) * scn.grid.cell
+        rho, j = pic.deposit(ens, scn.grid)
+        total = np.sum(rho) * scn.grid.cell
         assert total == pytest.approx(4.0 * np.pi * np.sum(ens.w), rel=1e-12)
 
     def test_current_bounded_by_charge(self):
@@ -170,13 +189,13 @@ class TestDeposit:
         # |integral j| <= integral rho since |phat| < 1
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
         ens = pic.sample_ensemble(scn)
-        src = pic.deposit(ens, scn.grid)
-        jt = np.abs(np.sum(src.j, axis=(1, 2))) * scn.grid.cell
-        assert np.all(jt <= np.sum(src.rho) * scn.grid.cell + 1e-12)
+        rho, j = pic.deposit(ens, scn.grid)
+        jt = np.abs(np.sum(j, axis=(1, 2))) * scn.grid.cell
+        assert np.all(jt <= np.sum(rho) * scn.grid.cell + 1e-12)
 
     def test_outside_box_rejected(self):
         g = mx.Grid(8, 8, 4.0, 4.0)
-        ens = ParticleEnsemble(dim_p=2, x=np.array([[5.0, 1.0]]),
+        ens = ParticleEnsemble(x=np.array([[5.0, 1.0]]),
                                p=np.zeros((1, 2)), w=np.ones(1),
                                box=[4.0, 4.0])
         with pytest.raises(ValueError):
@@ -188,16 +207,16 @@ class TestDeposit:
         g = mx.Grid(16, 12, 8.0, 6.0)
         rng = np.random.default_rng(4)
         n = 400
-        ens = ParticleEnsemble(dim_p=3, x=rng.random((n, 2)) * [8.0, 6.0],
+        ens = ParticleEnsemble(x=rng.random((n, 2)) * [8.0, 6.0],
                                p=rng.standard_normal((n, 3)),
                                w=rng.random(n) + 0.1, box=[8.0, 6.0])
         arr = rng.standard_normal((g.nx, g.ny))
-        src = pic.deposit(ens, g)
+        rho, j = pic.deposit(ens, g)
         at_x = 4.0 * np.pi * pic.gather_cic(g, arr, ens.x)
-        assert np.sum(src.rho * arr) * g.cell == pytest.approx(
+        assert np.sum(rho * arr) * g.cell == pytest.approx(
             np.sum(ens.w * at_x), rel=1e-12)
         for c in range(3):
-            assert np.sum(src.j[c] * arr) * g.cell == pytest.approx(
+            assert np.sum(j[c] * arr) * g.cell == pytest.approx(
                 np.sum(ens.w * ens.phat[:, c] * at_x), rel=1e-12)
 
     def test_wrap_box_stays_below_box(self):
@@ -370,14 +389,13 @@ class TestRun:
 
     @pytest.mark.parametrize("cfg", [small_cfg, small_cfg_25d])
     def test_one_clock(self, cfg):
-        # stored times, diagnostics and the final fields all read k * dt;
-        # ten additions of 0.05 give 0.49999999999999994
+        # stored times and diagnostics read k * dt; ten additions of 0.05
+        # give 0.49999999999999994
         scn = pic.scenario_from_dict(cfg(t_final=0.5, store_history=True),
                                      path="inline")
         res = pic.run(scn)
         assert np.array_equal(res.history.times, np.arange(11) * 0.05)
         assert res.series.column("time")[-1] == 10 * 0.05
-        assert res.fields.time == 10 * 0.05
 
     def test_one_initial_deposit(self, monkeypatch):
         # the t = 0 source feeds both the Poisson solve and the first step

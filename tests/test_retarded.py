@@ -305,8 +305,8 @@ class TestRepresentation:
         # cone of that time, its newest slab included
         h = _history(t_final=0.3)
         x = (11.0, 10.0)
-        at = rt.field_from_representation(h, 0.3, x).to_dict()
-        below = rt.field_from_representation(h, 0.3 - 5e-10, x).to_dict()
+        at = rt.field_from_representation(h, 0.3, [x])[0].to_dict()
+        below = rt.field_from_representation(h, 0.3 - 5e-10, [x])[0].to_dict()
         del at["t"], below["t"]
         assert at == below
         assert (rt.epsilon_split_eval(h, 0.3, x, 0.1)
@@ -314,7 +314,7 @@ class TestRepresentation:
 
     def test_report_fields(self):
         h = _history(t_final=0.3)
-        rep = rt.field_from_representation(h, 0.3, (11.0, 10.0))
+        rep = rt.field_from_representation(h, 0.3, [(11.0, 10.0)])[0]
         d = rep.to_dict()
         for key in ("data_E", "E_T", "E_S", "ks1_bound", "ks2_bound"):
             assert key in d
@@ -335,7 +335,7 @@ class TestRepresentation:
         # exactly the box length, which the force-free deposit rejects
         x0 = [[-1e-17, 5.0], [10.0, 10.0]]
         h = _two_step_history(x0, x0)
-        rep = rt.field_from_representation(h, 0.05, (10.01, 10.0))
+        rep = rt.field_from_representation(h, 0.05, [(10.01, 10.0)])[0]
         assert np.all(np.isfinite(rep.total_E))
 
     def test_probe_batch_equals_single_probes(self):
@@ -344,14 +344,15 @@ class TestRepresentation:
         reps = rt.field_from_representation(h, 0.3, xs)
         assert isinstance(reps, list) and len(reps) == len(xs)
         for x, rep in zip(xs, reps):
-            one = rt.field_from_representation(h, 0.3, x)
-            assert isinstance(one, rt.RepresentationReport)
+            one = rt.field_from_representation(h, 0.3, [x])[0]
             assert rep.to_dict() == one.to_dict()
 
     def test_probe_shape_validation(self):
         h = _history(t_final=0.3)
         with pytest.raises(ValueError, match="shape"):
             rt.field_from_representation(h, 0.3, [10.0, 10.0, 10.0])
+        with pytest.raises(ValueError, match="shape"):   # one bare probe
+            rt.field_from_representation(h, 0.3, [10.0, 10.0])
 
     @pytest.mark.parametrize("x_first,x_last", [
         ((10.0, 10.0), (10.0, 10.0)),   # on the probe in both flows
@@ -363,7 +364,7 @@ class TestRepresentation:
         # point-particle T integral diverges like 1/r there
         h = _two_step_history([x_first, [5.0, 5.0]], [x_last, [5.0, 5.0]])
         with pytest.raises(ValueError, match=r"t=0\.05 x=\[10\.0, 10\.0\]"):
-            rt.field_from_representation(h, 0.05, (10.0, 10.0))
+            rt.field_from_representation(h, 0.05, [(10.0, 10.0)])
 
     def test_epsilon_split_eps_validation(self):
         h = _history(t_final=0.3)
