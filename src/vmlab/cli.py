@@ -59,6 +59,17 @@ def _write_manifest(out_dir, scn, outputs, t0, t1):
     return path
 
 
+def _bad_out_file(path) -> bool:
+    """Whether a report file cannot be written at ``path``, which is then
+    said on stderr; checked before any work is done."""
+    folder = os.path.dirname(path) or "."
+    why = ("is a directory" if os.path.isdir(path) else
+           None if os.path.isdir(folder) else f"no directory {folder}")
+    if why:
+        print(f"error: --out {path}: {why}", file=sys.stderr)
+    return why is not None
+
+
 def cmd_simulate(args) -> int:
     try:
         scn = pic.load_scenario(args.scenario)
@@ -78,7 +89,11 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out_dir}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     t0 = time.time()
     try:
         # a floating-point fault ends the run as a non-finite state does
@@ -222,6 +237,8 @@ def cmd_verify(args) -> int:
         print(f"error: --seed must be nonnegative, got {args.seed}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.out and _bad_out_file(args.out):
+        return EXIT_USAGE
     jobs = {
         "identities": _suite_identities,
         "geometry": _suite_geometry,
@@ -279,6 +296,8 @@ def _probe_points(probes) -> list:
 
 
 def cmd_fields_compare(args) -> int:
+    if args.out and _bad_out_file(args.out):
+        return EXIT_USAGE
     hist_path = os.path.join(args.rundir, "history.npz")
     if not os.path.exists(hist_path):
         print(f"error: no history.npz in {args.rundir}", file=sys.stderr)
@@ -289,7 +308,7 @@ def cmd_fields_compare(args) -> int:
     try:
         with open(args.probes) as fh:
             probes = _probe_points(json.load(fh))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {args.probes}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -20,7 +20,7 @@ import numpy as np
 from .maxwell import flux_identity_lhs, good_component_sq
 from .phase import (IneqReport, embed3, interpolation_check, p0_of,
                     unit_direction)
-from .retarded import RetardedQuadrature, box_inverse, gauss_rule
+from .retarded import gauss_rule
 
 __all__ = [
     "sample_momenta_xi",
@@ -31,8 +31,6 @@ __all__ = [
     "interpolation_suite",
     "gronwall_check",
     "strichartz_admissible",
-    "strichartz_empirical",
-    "cone_split_check",
 ]
 
 
@@ -343,7 +341,7 @@ def gronwall_check(M, p: float, T: float, n_grid: int = 10_000) -> IneqReport:
 
 
 # --------------------------------------------------------------------------
-# Strichartz admissibility and empirical sampling
+# Strichartz admissibility
 # --------------------------------------------------------------------------
 
 
@@ -395,151 +393,3 @@ def strichartz_admissible(q1, r1, q2, r2, drop_redundant_upper: bool = False):
     if not drop_redundant_upper and not (ir1 + ir2 < Fraction(1, 2)):
         violated.append("r_sum_upper")
     return not violated, violated
-
-
-def _cone_mixed_norm(vals: np.ndarray, t_nodes, t_wts, cell: float,
-                     q: float, r: float) -> float:
-    """||vals||_{L^q_t L^r_x} on a (n_t, n_x) sample with Gauss t-weights."""
-    if math.isinf(r):
-        inner = np.abs(vals).max(axis=1)
-    else:
-        inner = (np.sum(np.abs(vals) ** r, axis=1) * cell) ** (1.0 / r)
-    if math.isinf(q):
-        return float(inner.max())
-    return float(np.sum(inner ** q * t_wts) ** (1.0 / q))
-
-
-def strichartz_empirical(sources, exponents, T: float = 1.0,
-                         extent: float = 3.0, nx: int = 128, nt: int = 64,
-                         substeps: int = 4) -> IneqReport:
-    """Sampled version of the wave-equation mixed-norm estimate
-
-        ||u||_{L^q1_t L^r1_x} <= C ||F||_{L^q2'_t L^r2'_x},
-
-    u the zero-data solution of box u = F. Each source in ``sources`` is
-    F(s, y) (y of shape (m, 2), centered coordinates) and must be supported
-    within |y| < extent. u is computed with the exact per-mode spectral wave
-    solver on a periodic box padded so that nothing wraps around within time
-    T; time norms use midpoint Riemann sums on nt samples. This samples the
-    inequality on a truncated battery, it does not prove it. Returns the max
-    ratio over the battery.
-    """
-    q1, r1, q2, r2 = exponents
-    ok, bad = strichartz_admissible(q1, r1, q2, r2)
-    if not ok:
-        raise ValueError(f"inadmissible exponents, violated: {bad}")
-    q2p = math.inf if q2 == 1 else float(Fraction(q2) / (Fraction(q2) - 1))
-    if r2 == math.inf:
-        r2p = 1.0
-    else:
-        r2p = math.inf if r2 == 1 else float(Fraction(r2) / (Fraction(r2) - 1))
-
-    from .maxwell import Grid, SpectralWave
-    L = 2.0 * (extent + T)
-    grid = Grid(nx=nx, ny=nx, lx=L, ly=L)
-    xg, yg = grid.mesh()
-    pts = np.stack([xg.ravel() - 0.5 * L, yg.ravel() - 0.5 * L], axis=-1)
-    cell = grid.cell
-    dt = T / (nt * substeps)
-    t_smp = (np.arange(nt) + 1.0) * (T / nt)   # right-edge Riemann samples
-    t_wts = np.full(nt, T / nt)
-
-    worst = 0.0
-    wit = None
-    ratios = []
-    for si, F in enumerate(sources):
-        wave = SpectralWave(grid, np.zeros((nx, nx)), np.zeros((nx, nx)))
-        u = np.empty((nt, pts.shape[0]))
-        fv = np.empty((nt, pts.shape[0]))
-        tcur = 0.0
-        for it in range(nt):
-            for _ in range(substeps):
-                g_mid = np.asarray(F(tcur + 0.5 * dt, pts),
-                                   dtype=float).reshape(nx, nx)
-                wave.step(g_mid, dt)
-                tcur += dt
-            u[it] = wave.u.ravel()
-            fv[it] = np.asarray(F(t_smp[it], pts), dtype=float)
-        lhs = _cone_mixed_norm(u, t_smp, t_wts, cell, float(q1), float(r1))
-        rhs = _cone_mixed_norm(fv, t_smp, t_wts, cell, q2p, r2p)
-        ratio = 0.0 if rhs == 0.0 else lhs / rhs
-        ratios.append(ratio)
-        if ratio > worst:
-            worst, wit = ratio, si
-    return IneqReport(name="strichartz_empirical", n_samples=len(sources),
-                      max_ratio=worst, witness={"source_index": wit},
-                      passed=math.isfinite(worst),
-                      details={"ratios": ratios,
-                               "exponents": [str(e) for e in exponents]})
-
-
-# --------------------------------------------------------------------------
-# Epsilon-split cone inequality (function-sampler form)
-# --------------------------------------------------------------------------
-
-
-def cone_split_check(G, H, F, t: float, x, eps_list,
-                     quad: RetardedQuadrature | None = None,
-                     seed: int = 0) -> IneqReport:
-    """Check the eps-split bound for the singular cone integral:
-
-    for F(s, y; t, x) <= C G(s, y)^(2/5) / (1-|xi|^2)^(2/5) and
-    F <= C H(s, y)^(2/5) on the cone,
-
-      integral of F / ((t-s) sqrt(...))  <=  C' [ eps^(-1/10) (integral of
-      G / sqrt(...))^(2/5) + eps^(3/10) (integral of H / sqrt(...))^(2/5) ]
-
-    for every eps in (0, 1]. The hypotheses are sampled first, at 2000
-    points with C = 1; a violation raises with the witness point. G, H are
-    samplers (s, y) -> values; F is (s, y, xi_sq) -> values where xi_sq is
-    |xi|^2 at those points. Returns the max lhs/rhs ratio over eps_list.
-    """
-    if quad is None:
-        quad = RetardedQuadrature()
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    s = rng.random(2000) * t
-    rr = (t - s) * np.sqrt(rng.random(2000))
-    phi = rng.random(2000) * 2.0 * np.pi
-    y = x[None, :] + rr[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    xi_sq = (rr / np.maximum(t - s, 1e-300)) ** 2
-    fv = np.asarray([float(F(sk, yk[None, :], np.array([xk]))[0])
-                     for sk, yk, xk in zip(s, y, xi_sq)])
-    gv = np.asarray([float(G(sk, yk[None, :])[0]) for sk, yk in zip(s, y)])
-    hv = np.asarray([float(H(sk, yk[None, :])[0]) for sk, yk in zip(s, y)])
-    tol = 1.0 + 1e-9
-    bad1 = fv > tol * gv ** 0.4 / np.maximum(1.0 - xi_sq, 1e-300) ** 0.4
-    bad2 = fv > tol * hv ** 0.4
-    if np.any(bad1 & bad2):
-        k = int(np.argmax(bad1 & bad2))
-        raise ValueError(f"hypothesis violated at s={s[k]}, y={y[k]}")
-
-    def with_measure(extra_inv_ts: bool):
-        def integrand(sk, pts):
-            d = pts - x[None, :]
-            xi2 = np.sum(d * d, axis=1) / max((t - sk) ** 2, 1e-300)
-            v = np.asarray(F(sk, pts, xi2), dtype=float)
-            if extra_inv_ts:
-                v = v / max(t - sk, 1e-300)
-            return v
-        return integrand
-
-    lhs = box_inverse(with_measure(True), t, x, quad)
-    g_int = box_inverse(lambda sk, pts: G(sk, pts), t, x, quad)
-    h_int = box_inverse(lambda sk, pts: H(sk, pts), t, x, quad)
-    worst = 0.0
-    wit = None
-    ratios = {}
-    for eps in eps_list:
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps must be in (0, 1], got {eps}")
-        rhs = eps ** (-0.1) * g_int ** 0.4 + eps ** 0.3 * h_int ** 0.4
-        ratio = 0.0 if rhs == 0.0 else lhs / rhs
-        ratios[eps] = ratio
-        if ratio > worst:
-            worst, wit = ratio, eps
-    return IneqReport(name="cone_split", n_samples=len(list(eps_list)),
-                      max_ratio=worst, witness={"eps": wit},
-                      passed=math.isfinite(worst),
-                      details={"lhs": lhs, "g_int": g_int, "h_int": h_int,
-                               "ratios": ratios})

@@ -35,7 +35,6 @@ __all__ = [
     "energy",
     "flux_identity_lhs",
     "good_component_sq",
-    "SpectralWave",
     "save_field",
     "load_field",
 ]
@@ -337,44 +336,6 @@ def good_component_sq(E, B, omega, mode: str):
     bpwe = B + np.cross(om, E)
     return edotw ** 2 + bdotw ** 2 + np.sum(embx * embx, axis=-1) \
         + np.sum(bpwe * bpwe, axis=-1)
-
-
-# --------------------------------------------------------------------------
-# Scalar/vector wave solver (shared by the retarded-field comparison)
-# --------------------------------------------------------------------------
-
-
-class SpectralWave:
-    """Exact per-mode integrator for box u = g on the periodic grid.
-
-    State is (u, du/dt) in Fourier space; ``step`` advances by dt with the
-    source held constant over the step (closed-form Duhamel). ``u`` may carry
-    leading component axes, e.g. shape (3, nx, ny).
-    """
-
-    def __init__(self, grid: Grid, u0: np.ndarray, v0: np.ndarray):
-        self.grid = grid
-        self.uk = _fft2(np.asarray(u0, dtype=float)).astype(complex)
-        self.vk = _fft2(np.asarray(v0, dtype=float)).astype(complex)
-        kx, ky = grid.wavenumbers()
-        self.kmag = np.sqrt(kx * kx + ky * ky)
-
-    def step(self, g_mid: np.ndarray, dt: float) -> None:
-        k = self.kmag
-        nz = k > 0
-        ks = np.where(nz, k, 1.0)
-        c = np.cos(k * dt)
-        s = np.sin(k * dt)
-        sk = np.where(nz, s / ks, dt)
-        ck2 = np.where(nz, (1.0 - c) / ks ** 2, 0.5 * dt * dt)
-        gk = _fft2(np.asarray(g_mid, dtype=float))
-        uk = c * self.uk + sk * self.vk + ck2 * gk
-        vk = -np.where(nz, k * s, 0.0) * self.uk + c * self.vk + sk * gk
-        self.uk, self.vk = uk, vk
-
-    @property
-    def u(self) -> np.ndarray:
-        return _ifft2(self.uk)
 
 
 # --------------------------------------------------------------------------

@@ -21,9 +21,7 @@ __all__ = [
     "embed3",
     "p0_of",
     "unit_direction",
-    "ConeGeometry",
     "IneqReport",
-    "cone_coords",
     "moment",
     "interpolation_check",
     "save_ensemble",
@@ -56,45 +54,6 @@ def p0_of(p: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Light-cone geometry
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeGeometry:
-    """Backward-cone variables at a spacetime pair ((t, x), (s, y)).
-
-    xi:              (y - x) / (t - s), |xi| <= 1
-    omega:           unit direction (y - x)/|y - x| (e_1 on the cone axis)
-    psi:             null coordinate (t - s - |y - x|) / 2 >= 0
-    one_minus_xi_sq: 1 - |xi|^2, equal to 4 psi (t - s - psi) / (t - s)^2
-    theta:           polar angle of omega in (-pi, pi]
-    """
-
-    xi: np.ndarray
-    omega: np.ndarray
-    psi: float
-    one_minus_xi_sq: float
-    theta: float
-
-
-def cone_coords(t: float, s: float, x, y) -> ConeGeometry:
-    """Cone variables for the point (s, y) inside the backward cone of (t, x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (0.0 <= s < t):
-        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-    dt = t - s
-    d = y - x
-    r = float(np.hypot(d[0], d[1]))
-    if r > dt * (1.0 + 1e-12):
-        raise ValueError(f"point outside the backward cone: |y-x|={r} > t-s={dt}")
-    r = min(r, dt)
-    xi = d / dt
-    omega = unit_direction(d, np.asarray(r))
-    psi = 0.5 * (dt - r)
-    one_minus_xi_sq = max(0.0, 1.0 - float(xi @ xi))
-    theta = math.atan2(omega[1], omega[0])
-    return ConeGeometry(xi=xi, omega=omega, psi=psi,
-                        one_minus_xi_sq=one_minus_xi_sq, theta=theta)
 
 
 def unit_direction(d: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -163,6 +163,14 @@ class Scenario:
                                  f"spacing box / grid_n = {self.box!r} / "
                                  f"{self.grid_n!r}, got {self.fields0[key]!r}")
         self.moment_orders = tuple(float(N) for N in self.moment_orders)
+        # the diagnostics columns of each order, named as _diag_row names them
+        names = [f"moment_{N:g}" for N in self.moment_orders]
+        names += [f"k_l{N + self.dim_p:g}" for N in self.moment_orders]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"moment_orders: must be orders with "
+                                 f"distinct diagnostics columns, two are "
+                                 f"{name}, got {list(self.moment_orders)!r}")
 
     @property
     def n_steps(self) -> int:

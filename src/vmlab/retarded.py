@@ -31,7 +31,6 @@ from . import pic
 from .phase import IneqReport, embed3, p0_of, unit_direction
 
 __all__ = [
-    "RetardedQuadrature",
     "kernel_arrays_2d",
     "kernel_arrays_25d",
     "kernel_bound_check",
@@ -187,22 +186,6 @@ def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RetardedQuadrature:
-    """Tensor Gauss-Legendre rule for backward-cone integrals after the
-    radial substitution |y - x| = (t - s) sin(phi), which removes the
-    inverse-square-root edge singularity exactly."""
-
-    n_s: int = 64
-    n_phi: int = 32
-    n_theta: int = 64
-
-    def __post_init__(self):
-        for name in ("n_s", "n_phi", "n_theta"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
 @functools.lru_cache(maxsize=None)
 def _legendre(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1], built once, read-only."""
@@ -218,7 +201,7 @@ def gauss_rule(n: int, a: float, b: float):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def box_inverse(F, t: float, x, quad: RetardedQuadrature | None = None) -> float:
+def box_inverse(F, t: float, x, n_s: int = 64, n_phi: int = 32) -> float:
     """Backward-cone integral of F with the retarded kernel:
 
         integral over 0 < s < t, |y - x| <= t - s of
@@ -228,15 +211,14 @@ def box_inverse(F, t: float, x, quad: RetardedQuadrature | None = None) -> float
     times this with F = g.) F is called as F(s, y) with y of shape (m, 2).
 
     With r = (t-s) sin(phi) the integrand becomes (t-s) sin(phi) F, smooth up
-    to the cone edge, so tensor Gauss quadrature converges at spectral rate
-    for smooth F.
+    to the cone edge, so the tensor Gauss-Legendre rule (``n_s`` nodes in s,
+    ``n_phi`` in phi, 64 in the polar angle) converges at spectral rate for
+    smooth F.
     """
-    if quad is None:
-        quad = RetardedQuadrature()
     x = np.asarray(x, dtype=float)
-    s_nodes, s_wts = gauss_rule(quad.n_s, 0.0, t)
-    phi_nodes, phi_wts = gauss_rule(quad.n_phi, 0.0, 0.5 * np.pi)
-    th_nodes, th_wts = gauss_rule(quad.n_theta, 0.0, 2.0 * np.pi)
+    s_nodes, s_wts = gauss_rule(n_s, 0.0, t)
+    phi_nodes, phi_wts = gauss_rule(n_phi, 0.0, 0.5 * np.pi)
+    th_nodes, th_wts = gauss_rule(64, 0.0, 2.0 * np.pi)
     om = np.stack([np.cos(th_nodes), np.sin(th_nodes)], axis=-1)   # (nt, 2)
     total = 0.0
     for s, ws in zip(s_nodes, s_wts):

@@ -21,7 +21,6 @@ from vmlab import characteristics as chars
 from vmlab import inequalities as ineq
 from vmlab import pic
 from vmlab import retarded as rt
-from vmlab.phase import cone_coords
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -121,17 +120,6 @@ def test_null_coordinate_identity_on_cone_points():
     rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs) + np.abs(rhs))
     assert float(rel.max()) < 1e-12
 
-    # the same identity through the cone-geometry helper
-    for _ in range(200):
-        tt = 1.0 + rng.random()
-        ss = rng.random() * tt * 0.9
-        ang = rng.random() * 2.0 * math.pi
-        rr = rng.random() * (tt - ss)
-        y = np.array([rr * math.cos(ang), rr * math.sin(ang)])
-        geo = cone_coords(tt, ss, np.zeros(2), y)
-        rhs1 = 4.0 * geo.psi * (tt - ss - geo.psi) / (tt - ss) ** 2
-        assert geo.one_minus_xi_sq == pytest.approx(rhs1, rel=1e-12, abs=1e-15)
-
 
 # --------------------------------------------------------------------------
 # 4. retarded kernel quadrature oracle
@@ -139,27 +127,23 @@ def test_null_coordinate_identity_on_cone_points():
 
 
 class TestBoxInverseOracle:
-    QUAD = rt.RetardedQuadrature(n_s=64, n_phi=32)
-
     def test_constant_source_gives_pi(self):
         v = rt.box_inverse(lambda s, pts: np.ones(len(pts)), 1.0,
-                           (0.0, 0.0), self.QUAD)
+                           (0.0, 0.0), n_s=64, n_phi=32)
         assert abs(v - math.pi) < 1e-8
 
     def test_linear_source_gives_pi_thirds(self):
         v = rt.box_inverse(lambda s, pts: np.full(len(pts), s), 1.0,
-                           (0.0, 0.0), self.QUAD)
+                           (0.0, 0.0), n_s=64, n_phi=32)
         assert abs(v - math.pi / 3.0) < 1e-8
 
     def test_node_doubling_convergence_order(self):
         # Gauss nodes on the desingularized cone integral converge
         # super-algebraically; node doubling must gain at least order 4
         F = lambda s, pts: np.exp(-np.sum(pts * pts, axis=1) - s)  # noqa: E731
-        ref = rt.box_inverse(F, 1.0, (0.1, -0.2),
-                             rt.RetardedQuadrature(n_s=256, n_phi=256))
-        errs = [abs(rt.box_inverse(F, 1.0, (0.1, -0.2),
-                                   rt.RetardedQuadrature(n_s=n, n_phi=n))
-                    - ref) for n in (2, 4, 8)]
+        ref = rt.box_inverse(F, 1.0, (0.1, -0.2), n_s=256, n_phi=256)
+        errs = [abs(rt.box_inverse(F, 1.0, (0.1, -0.2), n_s=n, n_phi=n) - ref)
+                for n in (2, 4, 8)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 4.0
 

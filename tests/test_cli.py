@@ -332,6 +332,36 @@ class TestFieldsCompare:
                        str(tmp_path / "nope.json")) == cli.EXIT_MISSING
 
 
+class TestUnusablePaths:
+    @pytest.mark.parametrize("command,flag,target", [
+        ("simulate", "--out", "file"),
+        ("verify", "--out", "missing"),
+        ("verify", "--out", "dir"),
+        ("fields-compare", "--out", "missing"),
+        ("fields-compare", "--probes", "dir"),
+    ])
+    def test_exits_2_naming_the_path_before_any_work(
+            self, small_scenario, history_run, tmp_path, monkeypatch, capsys,
+            command, flag, target):
+        def no_work(*args):
+            raise AssertionError("work started before the path was checked")
+
+        monkeypatch.setattr(pic, "run", no_work)
+        monkeypatch.setattr(cli, "_suite_identities", no_work)
+        monkeypatch.setattr(rt, "field_from_representation", no_work)
+        probes = tmp_path / "probes.json"
+        probes.write_text(json.dumps([{"t": 0.3, "x": [10.0, 10.0]}]))
+        path = {"file": probes, "missing": tmp_path / "missing" / "r.json",
+                "dir": tmp_path}[target]
+        argv = {"simulate": ["simulate", str(small_scenario)],
+                "verify": ["verify", "identities"],
+                "fields-compare": ["fields-compare", str(history_run),
+                                   "--probes", str(probes)]}[command]
+        assert run_cli(*argv, flag, str(path)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err
+
+
 class TestStrichartzCheck:
     def test_admissible(self):
         assert run_cli("strichartz-check", "336/19", "32/5",
@@ -447,10 +477,15 @@ class TestScenarioBoundary:
         # the sampled momenta overflow
         ("golden_2d", "f0.alpha", 2.0000001, cli.EXIT_FAIL),
         ("golden_25d", "f0.p3_nu", 1e-300, cli.EXIT_FAIL),
+        # two orders whose diagnostics columns share a name
+        ("golden_2d", "moment_orders", [2, 2], cli.EXIT_USAGE),
+        ("golden_2d", "moment_orders", [2.5, 2.5000001], cli.EXIT_USAGE),
+        ("golden_2d", "moment_orders", [0.123451, 0.123452], cli.EXIT_USAGE),
     ])
     def test_found_inputs(self, name, key, value, code):
         # inputs that ended with a RuntimeWarning raised deep in the run,
-        # or sampled for a long time: each exits with one stderr line
+        # sampled for a long time or wrote a column name twice: each exits
+        # with one stderr line
         got, err = _simulate_mutated(SCENARIOS_DIR / f"{name}.json", key,
                                      value)
         assert got == code

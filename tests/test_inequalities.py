@@ -1,6 +1,5 @@
 """Quantitative inequality checks: flux identity, geometry bounds, singular
-momentum integrals, interpolation, Gronwall, Strichartz arithmetic and
-sampling, and the eps-split cone bound."""
+momentum integrals, interpolation, Gronwall and Strichartz arithmetic."""
 
 import math
 from fractions import Fraction
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmlab import inequalities as ineq
-from vmlab import retarded as rt
 
 
 class TestFluxIdentity:
@@ -154,49 +152,6 @@ class TestStrichartzArithmetic:
         ok, bad = ineq.strichartz_admissible(4, math.inf, 1, 2)
         assert isinstance(ok, bool)
         assert all(isinstance(b, str) for b in bad)
-
-
-class TestStrichartzEmpirical:
-    def test_sampled_ratio_finite(self):
-        def src(s, y):
-            return np.exp(-np.sum(y * y, axis=1) - 4.0 * (s - 0.3) ** 2)
-        rep = ineq.strichartz_empirical(
-            [src], (Fraction(336, 19), Fraction(32, 5),
-                    Fraction(112, 31), Fraction(96, 17)),
-            T=1.0, extent=3.0, nx=64, nt=16, substeps=4)
-        assert rep.passed
-        assert 0.0 < rep.max_ratio < 10.0
-
-    def test_inadmissible_rejected(self):
-        with pytest.raises(ValueError):
-            ineq.strichartz_empirical([lambda s, y: np.ones(len(y))],
-                                      (2, 4, 2, 4), nx=16, nt=4)
-
-
-class TestConeSplit:
-    QUAD = rt.RetardedQuadrature(n_s=32, n_phi=16)
-
-    def test_admissible_triple(self):
-        one = lambda s, pts: np.ones(len(pts))  # noqa: E731
-        F = lambda s, pts, xi2: np.ones(len(pts))  # noqa: E731
-        rep = ineq.cone_split_check(one, one, F, 1.0, (0.0, 0.0),
-                                    [0.05, 0.2, 1.0], quad=self.QUAD, seed=1)
-        assert rep.passed
-        assert all(math.isfinite(v) for v in rep.details["ratios"].values())
-
-    def test_hypothesis_violation_detected(self):
-        one = lambda s, pts: np.zeros(len(pts))  # noqa: E731
-        F = lambda s, pts, xi2: np.ones(len(pts))  # noqa: E731
-        with pytest.raises(ValueError, match="hypothesis"):
-            ineq.cone_split_check(one, one, F, 1.0, (0.0, 0.0), [0.5],
-                                  quad=self.QUAD, seed=2)
-
-    def test_eps_range_validated(self):
-        one = lambda s, pts: np.ones(len(pts))  # noqa: E731
-        F = lambda s, pts, xi2: np.ones(len(pts))  # noqa: E731
-        with pytest.raises(ValueError):
-            ineq.cone_split_check(one, one, F, 1.0, (0.0, 0.0), [2.0],
-                                  quad=self.QUAD)
 
 
 class TestSamplers:

@@ -261,26 +261,6 @@ class TestInterp:
         assert v[0] == pytest.approx(0.5)
 
 
-class TestSpectralWave:
-    def test_standing_wave_exact(self):
-        g = _grid(64, 2.0 * np.pi)
-        x, _ = g.mesh()
-        k = 2.0
-        wave = mx.SpectralWave(g, np.cos(k * x), np.zeros_like(x))
-        dt, n = 0.02, 50
-        for _ in range(n):
-            wave.step(np.zeros_like(x), dt)
-        assert np.abs(wave.u - np.cos(k * x) * np.cos(k * n * dt)).max() < 1e-12
-
-    def test_constant_source_k0(self):
-        # box u = 1 with zero data gives u = t^2 / 2 at k = 0
-        g = _grid(8)
-        wave = mx.SpectralWave(g, np.zeros((8, 8)), np.zeros((8, 8)))
-        for _ in range(10):
-            wave.step(np.ones((8, 8)), 0.1)
-        assert np.abs(wave.u - 0.5).max() < 1e-12
-
-
 class TestSnapshots:
     def test_roundtrip_byte_identical(self, tmp_path):
         g = _grid(8)

@@ -1,11 +1,11 @@
-"""Phase-space primitives: kinematics, cone geometry, ensembles, moments,
+"""Phase-space primitives: kinematics, ensembles, moments,
 the interpolation check, and snapshot round-trips."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from vmlab import phase
@@ -49,38 +49,6 @@ class TestMomentum:
         p = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
         ref = np.sqrt(1.0 + np.sum(p * p, axis=-1))
         assert np.array_equal(phase.p0_of(p), ref)
-
-
-class TestConeGeometry:
-    def test_axis_point(self):
-        cc = phase.cone_coords(2.0, 1.0, [0.0, 0.0], [0.0, 0.0])
-        assert np.all(cc.xi == 0.0)
-        assert cc.psi == 0.5
-        assert cc.one_minus_xi_sq == 1.0
-
-    def test_boundary_point(self):
-        cc = phase.cone_coords(1.0, 0.0, [0.0, 0.0], [1.0, 0.0])
-        assert cc.psi == 0.0
-        assert cc.one_minus_xi_sq == 0.0
-        assert np.allclose(cc.omega, [1.0, 0.0])
-
-    def test_outside_cone_rejected(self):
-        with pytest.raises(ValueError):
-            phase.cone_coords(1.0, 0.5, [0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            phase.cone_coords(1.0, 1.5, [0.0, 0.0], [0.0, 0.0])
-
-    @given(st.floats(0.1, 100.0), st.floats(0.0, 0.999),
-           st.floats(0.0, 0.9999), st.floats(-math.pi, math.pi))
-    @settings(max_examples=200)
-    def test_null_coordinate_identity(self, t, sfrac, rfrac, ang):
-        # 1 - |xi|^2 = 4 psi (t - s - psi) / (t - s)^2
-        s = sfrac * t
-        r = rfrac * (t - s)
-        y = [r * math.cos(ang), r * math.sin(ang)]
-        cc = phase.cone_coords(t, s, [0.0, 0.0], y)
-        rhs = 4.0 * cc.psi * (t - s - cc.psi) / (t - s) ** 2
-        assert cc.one_minus_xi_sq == pytest.approx(rhs, abs=1e-12)
 
 
 class TestEnsemble:

@@ -80,6 +80,10 @@ class TestScenario:
         ("f0.sigma_x", -1.0),
         ("f0.beams", [[0.5]]),
         ("fields0.poisson", "yes"),
+        # column names keep 6 significant digits of the order
+        ("moment_orders", [2, 2]),
+        ("moment_orders", [2.5, 2.5000001]),
+        ("moment_orders", [0.123451, 0.123452]),   # both k_l2.12345
     ])
     def test_bad_value_rejected_with_key_path(self, key, value):
         cfg = small_cfg()

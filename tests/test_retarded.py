@@ -154,25 +154,21 @@ class TestKernelBounds:
 
 class TestBoxInverse:
     def test_constant_source(self):
-        quad = rt.RetardedQuadrature(n_s=64, n_phi=32)
         v = rt.box_inverse(lambda s, pts: np.ones(len(pts)), 1.0,
-                           (0.0, 0.0), quad)
+                           (0.0, 0.0), n_s=64, n_phi=32)
         assert v == pytest.approx(math.pi, abs=1e-8)
 
     def test_linear_in_time_source(self):
-        quad = rt.RetardedQuadrature(n_s=64, n_phi=32)
         v = rt.box_inverse(lambda s, pts: np.full(len(pts), s), 1.0,
-                           (0.0, 0.0), quad)
+                           (0.0, 0.0), n_s=64, n_phi=32)
         assert v == pytest.approx(math.pi / 3.0, abs=1e-8)
 
     def test_convergence_order_under_node_doubling(self):
         F = lambda s, pts: np.exp(-np.sum(pts * pts, axis=1) - s)  # noqa: E731
-        ref = rt.box_inverse(F, 1.0, (0.1, -0.2),
-                             rt.RetardedQuadrature(n_s=256, n_phi=256))
+        ref = rt.box_inverse(F, 1.0, (0.1, -0.2), n_s=256, n_phi=256)
         errs = []
         for n in (2, 4, 8):
-            v = rt.box_inverse(F, 1.0, (0.1, -0.2),
-                               rt.RetardedQuadrature(n_s=n, n_phi=n))
+            v = rt.box_inverse(F, 1.0, (0.1, -0.2), n_s=n, n_phi=n)
             errs.append(abs(v - ref))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 4.0   # Gauss nodes: super-algebraic decay
