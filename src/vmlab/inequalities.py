@@ -34,16 +34,17 @@ __all__ = [
 ]
 
 
-def sample_momenta_xi(seed: int, n: int, d_p: int = 3):
-    """``n`` random (p, xi) from ``seed``, with heavy momentum tails and the
-    stress regimes mixed in: a slice with |phat| > 1 - 1e-6, a slice with
-    |xi| > 1 - 1e-6, and a slice with xi nearly antiparallel to phat
-    (1 + phat.xi -> 0), each an eighth of the draws."""
+def sample_momenta_xi(seed: int, n: int):
+    """``n`` random 3-momenta p (n, 3) and cone directions xi (n, 2) from
+    ``seed``, with heavy momentum tails and the stress regimes mixed in: a
+    slice with |phat| > 1 - 1e-6, a slice with |xi| > 1 - 1e-6, and a slice
+    with xi nearly antiparallel to phat (1 + phat.xi -> 0), each an eighth
+    of the draws."""
     rng = np.random.default_rng(seed)
     k = n // 8
     mag = np.exp(rng.uniform(-3.0, 9.0, n))
     mag[:k] = np.exp(rng.uniform(7.0, 20.0, k))   # |phat| > 1 - 1e-6
-    direc = rng.standard_normal((n, d_p))
+    direc = rng.standard_normal((n, 3))
     direc /= np.linalg.norm(direc, axis=1, keepdims=True)
     p = mag[:, None] * direc
 
@@ -142,7 +143,7 @@ def geometry_bounds_check(seed: int, n: int) -> dict:
     """
     p, xi = sample_momenta_xi(seed, n)
     p0 = p0_of(p)
-    phat = embed3(p) / p0[:, None]
+    phat = p / p0[:, None]
     xi_mag = np.sqrt(np.sum(xi * xi, axis=1))
     om3 = embed3(unit_direction(xi, xi_mag))
     kappa = phat[:, 0] * xi[:, 0] + phat[:, 1] * xi[:, 1]

@@ -169,50 +169,31 @@ def _p_grid(d_p: int, p_max: float, n: int):
     return pts, cell
 
 
-def interpolation_check(density, S: float, M: float, q: float, d_p: int,
-                        delta: float | None = None,
-                        variant: str = "general") -> IneqReport:
-    """Numerically evaluate both sides of a p0-moment interpolation inequality.
+def interpolation_check(density, S: float, M: float, q: float,
+                        d_p: int) -> IneqReport:
+    """Numerically evaluate both sides of the p0-moment interpolation inequality
+
+      || p0^S g ||_{Lq_x L1_p}
+        <= C || p0^M g ||_{L^{q(S+d_p)/(M+d_p)}_x L1_p}^{(S+d_p)/(M+d_p)}
+
+    for 1 <= q < inf, M >= S > -d_p.
 
     ``density`` is a callable g(x, p) accepting x of shape (m, 2) and p of
     shape (k, d_p) and returning nonnegative values of shape (m, k). Both
     sides are midpoint sums over 24 x 24 points of [-4, 4]^2 in x and 48
     points per axis of [-8, 8]^d_p in p.
 
-    variant "general":   || p0^S g ||_{Lq_x L1_p}
-                         <= C || p0^M g ||_{L^{q(S+d_p)/(M+d_p)}_x L1_p}^{(S+d_p)/(M+d_p)}
-                         for 1 <= q < inf, M >= S > -d_p.
-    variant "linebound": the d_p = 3 strengthening with exponents
-                         (S+2)/(M+2) and q = (M+2)/(S+2), valid when
-                         min(M, 5+delta) >= S > -2 and the p3-line integrals
-                         of g <p3>^{5+delta} are uniformly bounded.
-
     Returns an IneqReport named "interpolation" whose ``max_ratio`` is
     lhs / rhs (0 when both vanish), with the two sides in ``details``.
     """
-    if variant not in ("general", "linebound"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "general":
-        if not (M >= S):
-            raise ValueError(f"need M >= S, got S={S}, M={M}")
-        if not (S > -d_p):
-            raise ValueError(f"need S > -d_p = {-d_p}, got S={S}")
-        if not (1.0 <= q < math.inf):
-            raise ValueError(f"need 1 <= q < inf, got q={q}")
-        beta = (S + d_p) / (M + d_p)
-        q_rhs = q * beta
-    else:
-        if d_p != 3:
-            raise ValueError("linebound variant requires d_p = 3")
-        if delta is None:
-            raise ValueError("linebound variant requires delta")
-        if not (min(M, 5.0 + delta) >= S):
-            raise ValueError(f"need min(M, 5+delta) >= S, got S={S}, M={M}, delta={delta}")
-        if not (S > -2.0):
-            raise ValueError(f"need S > -2, got S={S}")
-        beta = (S + 2.0) / (M + 2.0)
-        q = (M + 2.0) / (S + 2.0)
-        q_rhs = 1.0
+    if not (M >= S):
+        raise ValueError(f"need M >= S, got S={S}, M={M}")
+    if not (S > -d_p):
+        raise ValueError(f"need S > -d_p = {-d_p}, got S={S}")
+    if not (1.0 <= q < math.inf):
+        raise ValueError(f"need 1 <= q < inf, got q={q}")
+    beta = (S + d_p) / (M + d_p)
+    q_rhs = q * beta
 
     # midpoint grids
     xe = np.linspace(-4.0, 4.0, 24 + 1)
@@ -235,7 +216,7 @@ def interpolation_check(density, S: float, M: float, q: float, d_p: int,
     rhs = rhs_norm ** beta
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
     return IneqReport(name="interpolation", n_samples=1, max_ratio=ratio,
-                      witness=dict(S=S, M=M, q=q, d_p=d_p, variant=variant),
+                      witness=dict(S=S, M=M, q=q, d_p=d_p),
                       passed=math.isfinite(ratio),
                       details={"lhs": lhs, "rhs": rhs})
 

@@ -39,7 +39,6 @@ __all__ = [
     "deposit",
     "gather_cic",
     "gather_tsc",
-    "gather_tsc_grad",
     "wrap_box",
     "make_field_sampler",
     "DiagnosticSeries",
@@ -185,18 +184,12 @@ class Scenario:
         return mx.Grid(nx=self.grid_n, ny=self.grid_n, lx=self.box, ly=self.box)
 
     def to_canonical_dict(self) -> dict:
-        return {
-            "mode": self.mode, "grid_n": self.grid_n, "box": self.box,
-            "dt": self.dt, "t_final": self.t_final, "seed": self.seed,
-            "n_particles": self.n_particles,
-            "f0": dict(sorted(self.f0.items())),
-            "fields0": dict(sorted(self.fields0.items())),
-            "gauss_correction": self.gauss_correction,
-            "diagnostic_every": self.diagnostic_every,
-            "moment_orders": list(self.moment_orders),
-            "delta": self.delta, "n_tracers": self.n_tracers,
-            "store_history": self.store_history,
-        }
+        """One key per field, as JSON values; f0 and fields0 are copies."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(f0=dict(sorted(self.f0.items())),
+                   fields0=dict(sorted(self.fields0.items())),
+                   moment_orders=list(self.moment_orders))
+        return out
 
 
 def scenario_from_dict(cfg: dict, path: str = "<dict>") -> Scenario:
@@ -414,21 +407,14 @@ def gather_tsc(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _gather(arr, idx, w)[0]
 
 
-def gather_tsc_grad(grid: mx.Grid, arr: np.ndarray, x: np.ndarray):
-    """Quadratic-spline gather returning (values (..., n), gradient (..., n, 2))
-    — the exact spatial gradient of the interpolant, not a finite difference."""
-    val, gx, gy = _gather(arr, *_stencil(grid, x, tsc=True))
-    return val, np.stack([gx, gy], axis=-1)
-
-
 def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None = None):
     """Field sampler x -> (E, B) for the particle push, frozen over the step,
     returning only the components the push reads.
 
     Planar-momentum mode gathers (E1, E2) (n, 2) and B3 (n,) with CIC.
     3-momentum mode gathers E (n, 3) and B3 with the quadratic spline and
-    reconstructs the in-plane B from the exact gradient of the interpolated
-    gauge potential ``a3`` (nx, ny).
+    reconstructs the in-plane B = (d2 A3, -d1 A3) from the exact gradient of
+    the interpolated gauge potential ``a3`` (nx, ny), all on one stencil.
     """
     grid = fields.grid
     if fields.mode == "2d":
@@ -443,9 +429,10 @@ def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None = None):
     e_b3 = np.concatenate([fields.E, fields.B[2:]])
 
     def sampler(x):
-        g = gather_tsc(grid, e_b3, x)
-        _, grad_a3 = gather_tsc_grad(grid, a3, x)
-        return g[:3].T, np.stack([grad_a3[:, 1], -grad_a3[:, 0], g[3]], axis=-1)
+        idx, w, wdx, wdy = _stencil(grid, x, tsc=True)
+        g = _gather(e_b3, idx, w)[0]
+        gx, gy = _gather(a3, idx, wdx, wdy)
+        return g[:3].T, np.stack([gy, -gx, g[3]], axis=-1)
     return sampler
 
 
@@ -533,26 +520,46 @@ class RunHistory:
 
     @classmethod
     def load_npz(cls, path) -> "RunHistory":
-        """Read a ``save_npz`` archive; a file that is not one, or a missing,
-        unreadable or misshapen key, raises ValueError naming path and key."""
+        """Read a ``save_npz`` archive; a file that is not one, a missing,
+        unreadable or misshapen key, a ``grid`` that is not two positive
+        integers and two positive finite lengths, or ``times`` that are not
+        finite, strictly increasing from 0, raise ValueError naming path
+        and key."""
         a, key = {}, None
         try:
             with np.load(path) as z:
                 for key in _HISTORY_KEYS:
                     a[key] = z[key]
             key = "grid"
-            nx, ny, lx, ly = a.pop(key)
-            grid = mx.Grid(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly))
+            g = a.pop(key).astype(float)
         except KeyError:
             raise ValueError(f"{path}: missing key {key!r}") from None
         except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile,
                 zlib.error) as exc:
             what = repr(key) if key else f"an .npz archive of {_HISTORY_KEYS}"
             raise ValueError(f"{path}: cannot read {what} ({exc})") from None
+        if not (g.shape == (4,) and np.all(np.isfinite(g)) and np.all(g > 0)
+                and np.all(g[:2] == np.round(g[:2]))):
+            raise ValueError(f"{path}: grid: must be two positive integers and "
+                             f"two positive finite lengths, got {g.tolist()}")
+        grid = mx.Grid(nx=int(g[0]), ny=int(g[1]), lx=float(g[2]),
+                       ly=float(g[3]))
         try:
-            return cls(mode=str(a.pop("mode")), grid=grid, **a)
+            h = cls(mode=str(a.pop("mode")), grid=grid, **a)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        # comparisons only, so a NaN or inf raises no warning
+        t = h.times
+        ok = np.isfinite(t)
+        ok[1:] &= t[1:] > t[:-1]
+        ok[:1] &= t[:1] == 0.0
+        bad = np.flatnonzero(~ok)
+        if bad.size or not t.size:
+            got = (f"times[{bad[0]}] = {float(t[bad[0]])!r}" if bad.size
+                   else "no times")
+            raise ValueError(f"{path}: times: must be finite, strictly "
+                             f"increasing from 0, got {got}")
+        return h
 
 
 @dataclass

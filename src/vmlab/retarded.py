@@ -7,11 +7,10 @@ dp dy ds / ((t-s) sqrt((t-s)^2 - |y-x|^2)), and E_S integrates momentum
 derivatives of a second kernel against the Lorentz force times f with the
 measure dp dy ds / sqrt((t-s)^2 - |y-x|^2).
 
-This module evaluates the kernels (both planar-momentum and 3-momentum
-variants), checks them against their singular majorants, provides the
-light-cone wave inverse with the edge singularity removed analytically, and
-reconstructs fields from a recorded particle/field history for comparison
-against the grid solver.
+This module evaluates the 3-momentum kernels (the planar ones are their
+p3 = 0 slice), provides the light-cone wave inverse with the edge
+singularity removed analytically, and reconstructs fields from a recorded
+particle/field history for comparison against the grid solver.
 
 Kernel conventions: xi = (y-x)/(t-s) with |xi| <= 1; the in-plane pairing
 phat.xi uses only the first two momentum components; a ^ b = a1 b2 - a2 b1.
@@ -20,7 +19,6 @@ phat.xi uses only the first two momentum components; a ^ b = a1 b2 - a2 b1.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,18 +26,15 @@ import numpy as np
 
 from . import maxwell as mx
 from . import pic
-from .phase import IneqReport, embed3, p0_of, unit_direction
+from .phase import embed3, p0_of, unit_direction
 
 __all__ = [
-    "kernel_arrays_2d",
     "kernel_arrays_25d",
-    "kernel_bound_check",
     "gauss_rule",
     "box_inverse",
     "RepresentationReport",
     "field_from_representation",
     "grid_field_at",
-    "epsilon_split_eval",
     "slab_weights",
 ]
 
@@ -47,19 +42,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Kernels
 # --------------------------------------------------------------------------
-
-
-def _prep(p: np.ndarray, xi: np.ndarray):
-    """Common kinematic factors; p is (n, 2) or (n, 3), xi is (n, 2)."""
-    p = np.asarray(p, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.sum(xi * xi, axis=-1) > 1.0 + 1e-9):
-        raise ValueError("|xi| must not exceed 1")
-    p0 = p0_of(p)
-    phat = embed3(p) / p0[..., None]
-    xi3 = embed3(xi)
-    kappa = phat[..., 0] * xi[..., 0] + phat[..., 1] * xi[..., 1]
-    return p0, phat, xi3, kappa
 
 
 def _s_matrices(p0, phat, xi3, kappa):
@@ -94,23 +76,21 @@ def _s_matrices(p0, phat, xi3, kappa):
     return deS, dbS
 
 
-def kernel_arrays_2d(p: np.ndarray, xi: np.ndarray):
-    """Vectorized planar kernels, the p3 = 0 slice of ``kernel_arrays_25d``:
-    returns (eT (..., 2), bT (...,), es (..., 2, 2), bs (..., 2))."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 2:
-        raise ValueError("planar kernels require 2-component momenta")
-    eT, bT, deS, dbS = kernel_arrays_25d(embed3(p), xi)
-    return eT[..., :2], bT[..., 2], deS[..., :2, :2], dbS[..., 2, :2]
-
-
 def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
-    """Vectorized 3-momentum kernels: (eT (..., 3), bT (..., 3),
-    deS (..., 3, 3), dbS (..., 3, 3))."""
+    """Vectorized 3-momentum kernels at momenta p (..., 3) and cone
+    directions xi (..., 2), |xi| <= 1: (eT (..., 3), bT (..., 3),
+    deS (..., 3, 3), dbS (..., 3, 3)). The planar kernels are the p3 = 0
+    slice: eT[..., :2], bT[..., 2], deS[..., :2, :2] and dbS[..., 2, :2]."""
     p = np.asarray(p, dtype=float)
+    xi = np.asarray(xi, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError("3-momentum kernels require 3-component momenta")
-    p0, phat, xi3, kappa = _prep(p, xi)
+    if np.any(np.sum(xi * xi, axis=-1) > 1.0 + 1e-9):
+        raise ValueError("|xi| must not exceed 1")
+    p0 = p0_of(p)
+    phat = p / p0[..., None]
+    xi3 = embed3(xi)
+    kappa = phat[..., 0] * xi[..., 0] + phat[..., 1] * xi[..., 1]
     one2 = (1.0 + kappa) ** 2
     # 1 - phat1^2 - phat2^2 without its cancellation at large |p|
     flat = (1.0 + p[..., 2] ** 2) / (p0 * p0)
@@ -128,57 +108,6 @@ def kernel_arrays_25d(p: np.ndarray, xi: np.ndarray):
     bT[..., 2] = 2.0 * flat * wedge / one2
     deS, dbS = _s_matrices(p0, phat, xi3, kappa)
     return eT, bT, deS, dbS
-
-
-# --------------------------------------------------------------------------
-# Majorant checks
-# --------------------------------------------------------------------------
-
-
-def kernel_bound_check(p: np.ndarray, xi: np.ndarray, mode: str) -> dict:
-    """Empirical constants sup |kernel component| / majorant over samples,
-    as {component: IneqReport} with the (p, xi) attaining each sup.
-
-    Planar majorants: T kernels against 1/(p0^2 (1+phat.xi)^(3/2)); S-matrix
-    entries against 1/(p0 (1+phat.xi)). 3-momentum majorants: T kernels
-    against <p3>^3/(p0 (1+phat.xi)); S-derivative entries against
-    1/p0 + <p3>^2/(p0 (1+phat.xi)).
-    """
-    p = np.asarray(p, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    p0, _, _, kappa = _prep(p, xi)
-    one = 1.0 + kappa
-    out = {}
-
-    def record(name, vals, major):
-        ratio = vals / major
-        k = int(np.argmax(ratio))
-        out[name] = IneqReport(
-            name=f"kernel_bound.{mode}.{name}", n_samples=p.shape[0],
-            max_ratio=float(ratio[k]),
-            witness={"p": p[k].tolist(), "xi": xi[k].tolist()},
-            passed=math.isfinite(ratio[k]))
-
-    if mode == "2d":
-        eT, bT, es, bs = kernel_arrays_2d(p, xi)
-        maj_t = 1.0 / (p0 ** 2 * one ** 1.5)
-        maj_s = 1.0 / (p0 * one)
-        record("eT", np.abs(eT).max(axis=-1), maj_t)
-        record("bT", np.abs(bT), maj_t)
-        record("eS", np.abs(es).max(axis=(-2, -1)), maj_s)
-        record("bS", np.abs(bs).max(axis=-1), maj_s)
-    elif mode == "2.5d":
-        eT, bT, deS, dbS = kernel_arrays_25d(p, xi)
-        bp3 = 1.0 + p[:, 2] ** 2          # <p3>^2
-        maj_t = bp3 ** 1.5 / (p0 * one)
-        maj_s = 1.0 / p0 + bp3 / (p0 * one)
-        record("eT", np.abs(eT).max(axis=-1), maj_t)
-        record("bT", np.abs(bT).max(axis=-1), maj_t)
-        record("eS", np.abs(deS).max(axis=(-2, -1)), maj_s)
-        record("bS", np.abs(dbS).max(axis=(-2, -1)), maj_s)
-    else:
-        raise ValueError(f"mode must be one of {mx.MODES}, got {mode!r}")
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -517,58 +446,3 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
         E_T=sums.E_T, B_T=sums.B_T, E_S=sums.E_S, B_S=sums.B_S,
         ks1_bound=sums.ks1, ks2_bound=sums.ks2)
 
-
-# --------------------------------------------------------------------------
-# Epsilon split of the singular T integral
-# --------------------------------------------------------------------------
-
-
-def epsilon_split_eval(history: "pic.RunHistory", t: float, x,
-                       eps: float) -> IneqReport:
-    """Evaluate both sides of the eps-split bound for the singular T integral:
-
-      integral of F / ((t-s) sqrt(...))  <=  C [ eps^(-1/10) (integral of
-      G / sqrt(...))^(2/5) + eps^(3/10) (integral of H / sqrt(...))^(2/5) ]
-
-    with F the momentum integral of f <p3>^3(3-mom.) or f (planar) over
-    p0 (1 + phat.xi), G and H the p0^2 and p0^4 moments of f. All cone
-    integrals are particle sums with the exact slab weights.
-
-    Returns an IneqReport "epsilon_split" of lhs / rhs (0 when rhs is 0) over
-    the cone rows summed, with lhs, its |xi| <= 1 - eps and > 1 - eps parts
-    lhs_interior and lhs_collar, rhs, term_g and term_h in ``details``.
-    """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    t = float(history.times[_history_index(history, t)])
-    box = np.array([history.grid.lx, history.grid.ly])
-    probe = np.asarray(x, dtype=float)
-    w = history.w
-
-    lhs_int = 0.0
-    lhs_col = 0.0
-    term_g = 0.0
-    term_h = 0.0
-    rows = 0
-    for j, tau_lo, tau_hi in _cone_slabs(history.times, t):
-        c = _cone_rows(history.part_x[j], t, probe, box, tau_lo, tau_hi)
-        rows += c.idx.size
-        wp = w[c.idx]
-        P = history.part_p[j][c.idx]
-        p3 = embed3(P)
-        p0 = p0_of(p3)
-        kappa = (p3[:, 0] * c.xi[:, 0] + p3[:, 1] * c.xi[:, 1]) / p0
-        maj = (1.0 + p3[:, 2] ** 2) ** 1.5 / (p0 * (1.0 + kappa))
-        interior = np.sqrt(np.sum(c.xi * c.xi, axis=1)) <= 1.0 - eps
-        lhs_int += float(np.sum((wp * maj * c.w1)[interior]))
-        lhs_col += float(np.sum((wp * maj * c.w1)[~interior]))
-        term_g += float(np.sum(wp * p0 ** 2 * c.w2))
-        term_h += float(np.sum(wp * p0 ** 4 * c.w2))
-    rhs = eps ** (-0.1) * term_g ** 0.4 + eps ** 0.3 * term_h ** 0.4
-    lhs = lhs_int + lhs_col
-    ratio = 0.0 if rhs == 0.0 else lhs / rhs
-    return IneqReport(
-        name="epsilon_split", n_samples=rows, max_ratio=ratio,
-        witness={"eps": eps}, passed=math.isfinite(ratio),
-        details={"lhs": lhs, "lhs_interior": lhs_int, "lhs_collar": lhs_col,
-                 "rhs": rhs, "term_g": term_g, "term_h": term_h})

@@ -290,13 +290,35 @@ class TestFieldsCompare:
         assert len(err.strip().splitlines()) == 1
         assert "sits on a particle" in err
 
+    _GRID = "grid: must be two positive integers and two positive finite lengths"
+    _TIMES = "times: must be finite, strictly increasing from 0"
+
+    @staticmethod
+    def _set(key, index, value):
+        def damage(arrays):
+            arrays[key] = arrays[key].astype(float)
+            arrays[key][index] = value
+        return damage
+
     @pytest.mark.parametrize("damage,message", [
         ("junk", "cannot read an .npz archive of ('mode', 'grid', 'times', "
                  "'E', 'B', 'part_x', 'part_p', 'w')"),
-        ("no_part_p", "missing key 'part_p'"),
-        ("part_p_3d", "part_p: must be a numeric array of shape (7, 1500, 2), "
-                      "got float64 (7, 1500, 3)"),
-    ], ids=["junk", "no_part_p", "part_p_3d"])
+        (lambda a: a.pop("part_p"), "missing key 'part_p'"),
+        (lambda a: a.update(part_p=embed3(a["part_p"])),
+         "part_p: must be a numeric array of shape (7, 1500, 2), "
+         "got float64 (7, 1500, 3)"),
+        (_set("grid", 0, 16.5), _GRID + ", got [16.5, 24.0, 20.0, 20.0]"),
+        (_set("grid", 2, 0.0), _GRID),
+        (_set("grid", 2, math.nan), _GRID),
+        (_set("grid", 2, -20.0), _GRID),
+        (_set("times", 3, math.nan), _TIMES + ", got times[3] = nan"),
+        (lambda a: a.update(times=a["times"][::-1].copy()),
+         _TIMES + ", got times[0] = 0.3"),
+        (lambda a: a.update(times=a["times"] + 0.05),
+         _TIMES + ", got times[0] = 0.05"),
+    ], ids=["junk", "no_part_p", "part_p_3d", "grid_fraction", "lx_zero",
+            "lx_nan", "lx_negative", "times_nan", "times_descending",
+            "times_late_start"])
     def test_malformed_history_is_usage_error(self, history_run, tmp_path,
                                               capsys, damage, message):
         run_dir = tmp_path / "run"
@@ -307,10 +329,7 @@ class TestFieldsCompare:
         else:
             with np.load(history_run / "history.npz") as z:
                 arrays = dict(z)
-            if damage == "no_part_p":
-                del arrays["part_p"]
-            else:
-                arrays["part_p"] = embed3(arrays["part_p"])
+            damage(arrays)
             np.savez_compressed(hist, **arrays)
         probes = self._probes(tmp_path, [{"t": 0.3, "x": [10.0, 10.0]}])
         assert run_cli("fields-compare", str(run_dir),

@@ -1,6 +1,6 @@
 """Module exports: every name in a module's ``__all__`` exists there, is
 listed once, and earns a route; no module imports a name it never uses;
-every defaulted parameter is set by some call.
+every defaulted parameter is set by some call outside the unit tests.
 
 A route is a chain of references that reaches the name from a root. The
 roots are the names referenced in ``cli.py``, in ``tests/test_acceptance.py``
@@ -29,11 +29,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(vmlab.__path__))
 SRC = Path(vmlab.__file__).resolve().parent
 ROOT = SRC.parents[1]
 
-_ESTIMATE = "paper estimate awaiting a verify route, ROADMAP item 4"
 _ORACLE = "snapshot reader, used by the round-trip tests as their oracle"
 ALLOW = {
-    "kernel_bound_check": _ESTIMATE,
-    "epsilon_split_eval": _ESTIMATE,
     "load_field": _ORACLE,
     "load_ensemble": _ORACLE,
     "load_csv": _ORACLE,
@@ -186,10 +183,12 @@ def test_no_unused_module_import(name):
 
 def _call_sites() -> tuple:
     """Called name -> (most positional arguments, keyword names) over every
-    call in ``src/vmlab``, ``tests`` and ``perfbench``. A ``*args`` or
-    ``**kwargs`` pass-through names no parameter."""
+    call in ``src/vmlab``, ``perfbench`` and ``tests/test_acceptance.py``,
+    the code the routing roots come from; a value only unit tests pass is
+    no caller's. A ``*args`` or ``**kwargs`` pass-through names no
+    parameter."""
     npos, keywords = defaultdict(int), defaultdict(set)
-    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+    paths = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
              *(ROOT / "perfbench").glob("*.py")]
     for path in paths:
         for n in ast.walk(_parse(path)):

@@ -156,7 +156,7 @@ class TestStrichartzArithmetic:
 
 class TestSamplers:
     def test_stress_slices_present(self):
-        p, xi = ineq.sample_momenta_xi(0, 8000, d_p=3)
+        p, xi = ineq.sample_momenta_xi(0, 8000)
         phat = p / np.sqrt(1 + np.sum(p * p, axis=1))[:, None]
         assert np.max(np.linalg.norm(phat, axis=1)) > 1.0 - 1e-6
         assert np.max(np.linalg.norm(xi, axis=1)) > 1.0 - 1e-6

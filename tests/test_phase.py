@@ -112,19 +112,12 @@ class TestInterpolation:
                                         q=4.0 / 3.0, d_p=2)
         assert 0.0 < rep.max_ratio < 2.0
 
-    def test_linebound_variant(self):
-        rep = phase.interpolation_check(self._profile(12.0), S=1.0, M=3.0,
-                                        q=0.0, d_p=3, delta=1.0,
-                                        variant="linebound")
-        assert 0.0 < rep.max_ratio < 2.0
-
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            phase.interpolation_check(self._profile(12.0), S=3.0, M=1.0,
-                                      q=1.0, d_p=2)
-        with pytest.raises(ValueError):
-            phase.interpolation_check(self._profile(12.0), S=1.0, M=3.0,
-                                      q=1.0, d_p=2, variant="linebound")
+        for S, M, q in ((3.0, 1.0, 1.0), (-2.0, 1.0, 1.0),
+                        (1.0, 3.0, 0.5), (1.0, 3.0, math.inf)):
+            with pytest.raises(ValueError):
+                phase.interpolation_check(self._profile(12.0), S=S, M=M,
+                                          q=q, d_p=2)
 
 
 class TestSnapshots:

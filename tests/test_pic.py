@@ -230,7 +230,23 @@ class TestDeposit:
         assert np.array_equal(x, [[0.0, 5.0], [5.0, 17.0]])
 
 
+def _central_inplane_b(g, a3, pos, h=1e-6):
+    """(d2 A3, -d1 A3) by central differences of the TSC interpolant that
+    gather_tsc evaluates; near exact, as it is quadratic on each piece."""
+    d = [(pic.gather_tsc(g, a3, pos + step) - pic.gather_tsc(g, a3, pos - step))
+         / (2.0 * h) for step in np.eye(2) * h]
+    return np.stack([d[1], -d[0]], axis=-1)
+
+
 class TestGather:
+    @staticmethod
+    def _inplane_b(g, a3, pos):
+        """The in-plane B = (d2 A3, -d1 A3) that the 2.5d sampler builds from
+        the TSC interpolant of a3, at positions pos."""
+        zeros = np.zeros((3, g.nx, g.ny))
+        fields = mx.FieldState("2.5d", g, zeros, zeros)
+        return pic.make_field_sampler(fields, a3)(pos)[1][:, :2]
+
     def test_tsc_constant_field(self):
         g = mx.Grid(16, 16, 8.0, 8.0)
         arr = np.full((16, 16), 3.5)
@@ -240,26 +256,26 @@ class TestGather:
         # wherever its three nodes per axis stay off the periodic seam
         x, y = g.mesh()
         pos = 1.0 + np.random.default_rng(1).random((50, 2)) * 5.5
-        val, grad = pic.gather_tsc_grad(g, 2.0 * x - 3.0 * y, pos)
+        a3 = 2.0 * x - 3.0 * y
+        val = pic.gather_tsc(g, a3, pos)
         assert np.abs(val - (2.0 * pos[:, 0] - 3.0 * pos[:, 1])).max() < 1e-12
-        assert np.abs(grad - [2.0, -3.0]).max() < 1e-12
+        assert np.abs(self._inplane_b(g, a3, pos) - [-3.0, -2.0]).max() < 1e-12
 
     def test_tsc_gradient_of_smooth_field(self):
         g = mx.Grid(64, 64, 2.0 * np.pi, 2.0 * np.pi)
         x, y = g.mesh()
         arr = np.sin(x) * np.cos(2 * y)
         pos = np.random.default_rng(1).random((200, 2)) * 2.0 * np.pi
-        val, grad = pic.gather_tsc_grad(g, arr, pos)
-        exact = np.stack([np.cos(pos[:, 0]) * np.cos(2 * pos[:, 1]),
-                          -2 * np.sin(pos[:, 0]) * np.sin(2 * pos[:, 1])],
+        b = self._inplane_b(g, arr, pos)
+        exact = np.stack([-2 * np.sin(pos[:, 0]) * np.sin(2 * pos[:, 1]),
+                          -np.cos(pos[:, 0]) * np.cos(2 * pos[:, 1])],
                          axis=-1)
-        assert np.abs(grad - exact).max() < 2e-2
+        assert np.abs(b - exact).max() < 2e-2
+        assert np.abs(b - _central_inplane_b(g, arr, pos)).max() < 1e-8
         # a stacked (k, nx, ny) array gives each component's gather
-        vals, grads = pic.gather_tsc_grad(g, np.stack([arr, -2.0 * arr]), pos)
-        assert vals.shape == (2, 200) and grads.shape == (2, 200, 2)
-        assert np.allclose(vals[0], val, rtol=0, atol=1e-14)
-        assert np.allclose(grads[0], grad, rtol=0, atol=1e-12)
-        assert np.abs(grads[1] + 2.0 * exact).max() < 4e-2
+        vals = pic.gather_tsc(g, np.stack([arr, -2.0 * arr]), pos)
+        assert vals.shape == (2, 200)
+        assert np.array_equal(vals[0], pic.gather_tsc(g, arr, pos))
 
 
 class TestFieldSampler:
@@ -288,10 +304,9 @@ class TestFieldSampler:
         assert E.shape == B.shape == (50, 3)
         g = fields.grid
         assert np.array_equal(E, pic.gather_tsc(g, fields.E, x).T)
-        _, grad = pic.gather_tsc_grad(g, a3, x)
-        assert np.array_equal(B[:, 0], grad[:, 1])
-        assert np.array_equal(B[:, 1], -grad[:, 0])
         assert np.array_equal(B[:, 2], pic.gather_tsc(g, fields.B[2], x))
+        # in-plane B = (d2 A3, -d1 A3), the gradient of the A3 interpolant
+        assert np.abs(B[:, :2] - _central_inplane_b(g, a3, x)).max() < 1e-6
 
     def test_25d_requires_a3(self):
         fields, _ = self._fields("2.5d")
