@@ -138,7 +138,7 @@ _SUITES = ("identities", "geometry", "singular", "interpolation",
            "gronwall", "strichartz", "all")
 
 
-def _suite_identities(seed, count):
+def _suite_identities(seed, count) -> tuple[list[IneqReport], bool]:
     reports = [ineq.flux_identity_suite(seed, count)]
     # null-coordinate identity: 1 - |xi|^2 = 4 psi (t-s-psi) / (t-s)^2
     rng = np.random.default_rng(seed + 1)
@@ -156,12 +156,12 @@ def _suite_identities(seed, count):
     return reports, all(r.passed for r in reports)
 
 
-def _suite_geometry(seed, count):
+def _suite_geometry(seed, count) -> tuple[list[IneqReport], bool]:
     reports = list(ineq.geometry_bounds_check(seed, count).values())
     return reports, all(r.passed for r in reports)
 
 
-def _suite_singular(seed, count):
+def _suite_singular(seed, count) -> tuple[list[IneqReport], bool]:
     sweep = 1.0 - np.geomspace(1e-8, 1.0, 24)
     rng = np.random.default_rng(seed)
     reports = []
@@ -181,7 +181,7 @@ def _suite_singular(seed, count):
     return reports, all(r.passed for r in reports)
 
 
-def _suite_interpolation(seed, count):
+def _suite_interpolation(seed, count) -> tuple[list[IneqReport], bool]:
     rng = np.random.default_rng(seed)
     profiles = []
     for _ in range(4):
@@ -197,7 +197,7 @@ def _suite_interpolation(seed, count):
     return reports, all(r.passed for r in reports)
 
 
-def _suite_gronwall(seed, count):
+def _suite_gronwall(seed, count) -> tuple[list[IneqReport], bool]:
     reports = [
         ineq.gronwall_check(lambda t: 1.0, 1.0, 3.0),
         ineq.gronwall_check(lambda t: 1.0 + t, 2.0, 3.0, n_grid=3000),
@@ -207,7 +207,7 @@ def _suite_gronwall(seed, count):
     return reports, all(r.passed for r in reports)
 
 
-def _suite_strichartz(seed, count):
+def _suite_strichartz(seed, count) -> tuple[list[IneqReport], bool]:
     sets = {
         "moment_closure": (Fraction(336, 19), Fraction(32, 5),
                            Fraction(112, 31), Fraction(96, 17)),

@@ -232,20 +232,56 @@ class _ConeRows(NamedTuple):
     xi: np.ndarray      # (h, 2) d over the slab's mid tau, clipped to |xi| <= 1
 
 
-def _cone_rows(X, t: float, probe, box, tau_lo: float, tau_hi: float) -> _ConeRows:
+def _strip_index(X: np.ndarray):
+    """The x-sorted index of positions X (n, 2) that ``_cone_rows`` searches:
+    the row order by x1 and the sorted x1."""
+    order = np.argsort(X[:, 0])
+    return order, X[order, 0]
+
+
+def _strip_rows(strip, c: float, half: float, lx: float) -> np.ndarray:
+    """Ascending rows of the ``_strip_index`` ``strip`` whose x1 lies within
+    ``half`` of c under the period lx, and more: the strip is widened by 1e-9
+    of the magnitudes involved, far above the rounding of the minimum image,
+    so every row inside the cone is found. The strip's images
+    [c - h, c + h] + m lx that meet the sorted x1 are found by bisection.
+    Every row is taken when the strip is as wide as the box, or when x1 is
+    not finite or spans more than the box (a history from ``pic.run`` lies
+    in [0, lx), which needs at most four images)."""
+    order, xs = strip
+    if xs.size:
+        h = half + 1e-9 * (half + lx + abs(c) + max(-xs[0], xs[-1]))
+        m_lo = np.floor((xs[0] - c - h) / lx)
+        m_hi = np.ceil((xs[-1] - c + h) / lx)
+        if 2.0 * h < lx and m_hi - m_lo <= 3.0:
+            m = np.arange(m_lo, m_hi + 1.0) * lx
+            lo = np.searchsorted(xs, c - h + m, side="left")
+            hi = np.searchsorted(xs, c + h + m, side="right")
+            return np.sort(np.concatenate(
+                [order[a:b] for a, b in zip(lo, hi)]))
+    return np.arange(xs.size)
+
+
+def _cone_rows(X, strip, t: float, probe, box, tau_lo: float,
+               tau_hi: float) -> _ConeRows:
     """Rows of positions X (n, 2) inside the cone of the probe (t, x) over
     the slab tau in [tau_lo, tau_hi]: those with r < tau_hi, where both slab
-    weights are positive (beyond it both are 0). Every later per-particle
-    step works on these rows only.
+    weights are positive (beyond it both are 0). Only the rows of X's
+    ``_strip_index`` ``strip`` within tau_hi of the probe in x1 are measured;
+    every per-row step is elementwise, so the rows, their order and their
+    bits are those of a scan of all of X. Every later per-particle step
+    works on these rows only.
 
     A particle within 1e-12 of the probe in the newest slab (tau_lo = 0) is
     rejected: the point-particle T integral diverges like 1/r there.
     """
-    d = _min_image(X - probe[None, :], box)
+    rows = _strip_rows(strip, probe[0], tau_hi, box[0])
+    d = _min_image(X[rows] - probe[None, :], box)
     r = np.sqrt(np.sum(d * d, axis=1))
-    idx = np.flatnonzero(r < tau_hi)
-    d = d[idx]
-    r = r[idx]
+    inside = r < tau_hi
+    idx = rows[inside]
+    d = d[inside]
+    r = r[inside]
     if tau_lo <= 0.0 and np.any(r < 1e-12):
         raise ValueError(f"probe t={t} x={probe.tolist()} sits on a particle; "
                          "its cone integral diverges there")
@@ -386,7 +422,8 @@ class RepresentationReport:
         }
 
 
-def field_from_representation(history: "pic.RunHistory", t: float, x):
+def field_from_representation(history: "pic.RunHistory", t: float,
+                              x) -> list[RepresentationReport]:
     """Reconstruct (E, B) at the probe (t, x) from the recorded history.
 
     The data term is built without a closed form for the free-wave part of
@@ -411,20 +448,25 @@ def field_from_representation(history: "pic.RunHistory", t: float, x):
     g_fields = _free_field_rerun(history, k, free_x)
     # the cone ends at the stored time the probe t was matched to
     slabs = _cone_slabs(history.times, float(history.times[k]))
-    return [_probe_report(history, t, probe, box, slabs, free_x, g_fields)
+    strips = {j: (_strip_index(history.part_x[j]), _strip_index(free_x[j]))
+              for j, _, _ in slabs}
+    return [_probe_report(history, t, probe, box, slabs, strips, free_x,
+                          g_fields)
             for probe in probes]
 
 
-def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
+def _probe_report(history, t, probe, box, slabs, strips, free_x, g_fields):
     """One probe of ``field_from_representation``: the cone sums of the
-    interacting and the force-free flow over the slabs, on cone rows only."""
+    interacting and the force-free flow over the slabs, on cone rows only.
+    ``strips`` holds the ``_strip_index`` of both flows at each slab's step."""
     mode = history.mode
     w = history.w
     sums = _ConeSums(mode)
     free_sums = _ConeSums(mode)
     for j, tau_lo, tau_hi in slabs:
         X = history.part_x[j]
-        c = _cone_rows(X, t, probe, box, tau_lo, tau_hi)
+        strip, free_strip = strips[j]
+        c = _cone_rows(X, strip, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
             P = history.part_p[j][c.idx]
             E, B = _gather_eb(history.grid, history.E[j], history.B[j],
@@ -434,7 +476,7 @@ def _probe_report(history, t, probe, box, slabs, free_x, g_fields):
             kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
                                               mode))
             sums.add_step(c, P, w[c.idx], force=force, kg=kg)
-        c = _cone_rows(free_x[j], t, probe, box, tau_lo, tau_hi)
+        c = _cone_rows(free_x[j], free_strip, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
             free_sums.add_step(c, history.part_p[0][c.idx], w[c.idx])
 

@@ -338,6 +338,26 @@ class TestFieldsCompare:
         assert len(err.strip().splitlines()) == 1
         assert f"{hist}: " in err and message in err
 
+    def test_compressed_history_still_loads(self, history_run, tmp_path):
+        # earlier versions wrote history.npz with zlib compression
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        with np.load(history_run / "history.npz") as z:
+            np.savez_compressed(old_dir / "history.npz", **z)
+        new = pic.RunHistory.load_npz(history_run / "history.npz")
+        old = pic.RunHistory.load_npz(old_dir / "history.npz")
+        assert (old.mode, old.grid) == (new.mode, new.grid)
+        for key in ("times", "E", "B", "part_x", "part_p", "w"):
+            assert np.array_equal(getattr(old, key), getattr(new, key)), key
+        probes = self._probes(tmp_path, [{"t": 0.3, "x": [10.0, 10.0]},
+                                         {"t": 0.2, "x": [19.5, 0.5]}])
+        reps = []
+        for run_dir in (history_run, old_dir):
+            reps.append(tmp_path / f"{run_dir.name}.json")
+            assert run_cli("fields-compare", str(run_dir), "--probes",
+                           str(probes), "--out", str(reps[-1])) == cli.EXIT_OK
+        assert reps[0].read_bytes() == reps[1].read_bytes()
+
     def test_missing_history(self, small_scenario, tmp_path):
         out = tmp_path / "nohist"
         run_cli("simulate", str(small_scenario), "--out", str(out))

@@ -9,9 +9,12 @@ and in ``perfbench/`` (which names what it wraps in strings such as
 walk follows the references in every module-level definition of that name in
 ``src/vmlab``, so a reference from code that nothing reaches does not count.
 A public method of a class is walked only once both the class and the method
-name are reached; dunder and private methods ride with their class. Unit
-tests do not count either: a name that only its own tests call is dead
-code."""
+name are reached; dunder and private methods ride with their class. A
+method name that two classes define is not matched by name alone: a
+reference ``x.name`` reaches ``C.name`` only where the referring definition
+also names C (``C.name``, an annotation, a call of C), calls a function
+whose return annotation names C, or is a method of C. Unit tests do not
+count either: a name that only its own tests call is dead code."""
 
 import ast
 import importlib
@@ -73,44 +76,111 @@ def _public_methods(cls: ast.ClassDef) -> list:
             and not f.name.startswith("_")]
 
 
-def _definitions() -> list:
-    """(names that must all be reached, references the definition makes)
-    for every module-level definition in ``src/vmlab``, with each public
-    method of a class split off as a definition of its own."""
-    out = []
+def _shared() -> dict:
+    """Public method name -> the classes that define it, for each name that
+    more than one class in ``src/vmlab`` defines."""
+    owners = defaultdict(set)
+    for cls, method in _methods():
+        owners[method].add(cls)
+    return {m: cs for m, cs in owners.items() if len(cs) > 1}
+
+
+def _returns() -> dict:
+    """Function name -> the names in its return annotations in ``src/vmlab``
+    (a string annotation is parsed)."""
+    out = defaultdict(set)
     for path in SRC.glob("*.py"):
-        for stmt in _parse(path).body:
-            if isinstance(stmt, ast.ClassDef):
-                methods = _public_methods(stmt)
-                out += [({stmt.name, f.name}, _refs(f)) for f in methods]
-                body = [n for n in stmt.body if n not in methods]
-                out.append(({stmt.name}, set().union(
-                    *map(_refs, body + stmt.decorator_list + stmt.bases))))
-            else:
-                out += [({name}, _refs(stmt)) for name in _defines(stmt)]
+        for f in ast.walk(_parse(path)):
+            if isinstance(f, ast.FunctionDef) and f.returns is not None:
+                ann = f.returns
+                if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                    ann = ast.parse(ann.value, mode="eval")
+                out[f.name] |= _refs(ann)
     return out
 
 
-def _roots() -> set:
-    refs = _refs(_parse(SRC / "cli.py"))
-    refs |= _refs(_parse(ROOT / "tests" / "test_acceptance.py"))
-    for path in (ROOT / "perfbench").glob("*.py"):
-        refs |= _refs(_parse(path), strings=True)
-    return refs
+class _Resolver:
+    """The (class, method) pairs, for the method names two classes define,
+    that a definition's references resolve to (see the module docstring)."""
+
+    def __init__(self):
+        self.shared, self.returns = _shared(), _returns()
+
+    def pairs(self, nodes: list, owner: str, strings: bool = False) -> set:
+        refs = set().union(*(_refs(n, strings) for n in nodes))
+        names = refs | {owner}
+        for f in refs & self.returns.keys():
+            names |= self.returns[f]
+        return {(c, m) for m in refs & self.shared.keys()
+                for c in self.shared[m] & names}
 
 
-def _routed(roots: set) -> set:
-    """The names reached from ``roots`` through module-level definitions
-    and the public methods of reached classes."""
-    defs, reached = _definitions(), set(roots)
+def _units(path: Path) -> list:
+    """(names that must all be reached, nodes, owning class or "") for each
+    module-level definition in ``path``, with each public method of a class
+    split off as a definition of its own."""
+    out = []
+    for stmt in _parse(path).body:
+        if isinstance(stmt, ast.ClassDef):
+            methods = _public_methods(stmt)
+            out += [({stmt.name, f.name}, [f], stmt.name) for f in methods]
+            rest = [n for n in stmt.body if n not in methods]
+            out.append(({stmt.name}, rest + stmt.decorator_list + stmt.bases,
+                        stmt.name))
+        else:
+            out += [({name}, [stmt], "") for name in _defines(stmt)]
+    return out
+
+
+def _definitions() -> list:
+    """(names that must all be reached, (class, method) pairs that must all
+    be reached, references the definition makes, pairs it resolves) for
+    every definition of ``_units`` in ``src/vmlab``; a method whose name
+    another class also defines needs its own pair."""
+    res, out = _Resolver(), []
+    for path in SRC.glob("*.py"):
+        for needs, nodes, owner in _units(path):
+            own = {(owner, m) for m in needs
+                   if owner in res.shared.get(m, ())}
+            out.append((needs, own, set().union(*map(_refs, nodes)),
+                        res.pairs(nodes, owner)))
+    return out
+
+
+def _root_files() -> list:
+    """(path, whether dotted strings count) of the files the roots come
+    from."""
+    return ([(SRC / "cli.py", False),
+             (ROOT / "tests" / "test_acceptance.py", False)]
+            + [(p, True) for p in (ROOT / "perfbench").glob("*.py")])
+
+
+def _roots() -> tuple:
+    """The root names, and the shared-method pairs the root files'
+    definitions resolve."""
+    res, refs, pairs = _Resolver(), set(), set()
+    for path, strings in _root_files():
+        refs |= _refs(_parse(path), strings=strings)
+        for _, nodes, owner in _units(path):
+            pairs |= res.pairs(nodes, owner, strings)
+    return refs, pairs
+
+
+def _routed(roots: set, pairs: set) -> tuple:
+    """The names and shared-method pairs reached from ``roots`` and
+    ``pairs`` through module-level definitions and the public methods of
+    reached classes."""
+    defs, reached, reached_pairs = _definitions(), set(roots), set(pairs)
     grown = True
     while grown:
         grown = False
-        for needs, refs in defs:
-            if needs <= reached and not refs <= reached:
+        for needs, own, refs, found in defs:
+            if (needs <= reached and own <= reached_pairs
+                    and not (refs <= reached and found <= reached_pairs)):
                 reached |= refs
+                reached_pairs |= found
                 grown = True
-    return reached
+    return reached, reached_pairs
 
 
 def _methods() -> set:
@@ -142,23 +212,28 @@ def test_all_names_resolve_once(name):
 
 
 def test_every_export_is_routed():
-    routed = _routed(_roots() | set(ALLOW))
+    roots, pairs = _roots()
+    routed, _ = _routed(roots | set(ALLOW), pairs)
     unrouted = {f"{m}.{n}" for n, m in _exports().items()
                 if n not in routed}
     assert sorted(unrouted) == []
 
 
 def test_every_public_method_of_a_routed_class_is_routed():
-    routed = _routed(_roots() | set(ALLOW))
+    # a name that two classes define must be reached as this class's method
+    roots, pairs = _roots()
+    routed, pairs = _routed(roots | set(ALLOW), pairs)
+    shared = _shared()
     unrouted = {f"{cls}.{method}" for cls, method in _methods()
-                if cls in routed and method not in routed}
+                if cls in routed and (method not in routed or (
+                    method in shared and (cls, method) not in pairs))}
     assert sorted(unrouted) == []
 
 
 def test_allow_list_is_not_stale():
     # an exception that is now routed, or names no export and no public
     # method, must go
-    routed, exports = _routed(_roots()), _exports()
+    routed, exports = _routed(*_roots())[0], _exports()
     methods = {method for _, method in _methods()}
     stale = {n for n in ALLOW
              if n in routed or (n not in exports and n not in methods)}

@@ -3,6 +3,7 @@ gathering, the coupled time loop, and its conservation reports."""
 
 import dataclasses
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -490,7 +491,9 @@ class TestSeriesAndHistory:
         assert back.mode == h.mode and back.grid == h.grid
         for key in ("times", "E", "B", "part_x", "part_p", "w"):
             assert np.array_equal(getattr(back, key), getattr(h, key)), key
-        # save -> load -> save writes the same bytes
+        # uncompressed entries; save -> load -> save writes the same bytes
+        with zipfile.ZipFile(f) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
         again = tmp_path / "h2.npz"
         back.save_npz(again)
         assert f.read_bytes() == again.read_bytes()

@@ -9,6 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vmlab import maxwell as mx
 from vmlab import pic
@@ -257,6 +259,91 @@ class TestSlabWeights:
         w1, w2 = rt.slab_weights(np.array([1.5]), 0.5, 1.0)
         assert w1[0] == 0.0
         assert w2[0] == 0.0
+
+
+def _scan_cone_rows(X, probe, box, tau_lo, tau_hi):
+    """The oracle of ``_cone_rows``: the minimum image of every row, then
+    r < tau_hi, the slab weights and xi clipped to |xi| <= 1; None where
+    a particle sits on the probe in the newest slab."""
+    d = rt._min_image(X - probe[None, :], box)
+    r = np.sqrt(np.sum(d * d, axis=1))
+    idx = np.flatnonzero(r < tau_hi)
+    d, r = d[idx], r[idx]
+    if tau_lo <= 0.0 and np.any(r < 1e-12):
+        return None
+    w1, w2 = rt.slab_weights(r, tau_lo, tau_hi)
+    xi = d / np.maximum(0.5 * (tau_lo + tau_hi), np.maximum(r, 1e-300))[:, None]
+    nrm = np.sqrt(np.sum(xi * xi, axis=1))
+    xi[nrm > 1.0] /= nrm[nrm > 1.0, None]
+    return rt._ConeRows(idx, d, r, w1, w2, xi)
+
+
+@st.composite
+def _cone_cases(draw):
+    """(X, probe, box, tau_lo, tau_hi): rows at the walls, at the cone's
+    edge in x1, anywhere in the box and a few outside it (as a hand-made
+    history may hold), probes at and near the walls and outside the box,
+    and cones from a sliver up to wider than the box."""
+    lx, ly = draw(st.sampled_from([20.0, 7.3, 1.0])), 20.0
+    top = np.nextafter(lx, 0.0)
+    c = draw(st.one_of(st.sampled_from([0.0, 1e-3 * lx, top, lx - 1e-3]),
+                       st.floats(0.0, lx, exclude_max=True),
+                       st.floats(-lx, 2.0 * lx)))
+    y = draw(st.floats(0.0, ly, exclude_max=True))
+    tau_hi = draw(st.one_of(
+        st.floats(1e-3, 12.0),
+        st.sampled_from([lx / 2, np.nextafter(lx / 2, 0.0), 0.5001 * lx])))
+    tau_lo = draw(st.sampled_from([0.0, 0.25, 0.999])) * tau_hi
+    # x1 exactly at tau_hi from the probe (before and after the wrap)
+    edge = [e for s in (-1.0, 1.0) for e in (c + s * tau_hi,
+                                             c + s * tau_hi + lx,
+                                             c + s * tau_hi - lx)
+            if 0.0 <= e < lx]
+    x1 = st.one_of(st.sampled_from([0.0, top, *edge]),
+                   st.floats(0.0, lx, exclude_max=True),
+                   st.sampled_from([-1e-17, lx, -0.3 * lx, 1.7 * lx]))
+    x2 = st.one_of(st.just(y), st.floats(0.0, ly, exclude_max=True))
+    rows = draw(st.lists(st.tuples(x1, x2), max_size=30))
+    X = np.array(rows, dtype=float).reshape(-1, 2)
+    return X, np.array([c, y]), np.array([lx, ly]), tau_lo, tau_hi
+
+
+class TestConeRows:
+    @given(_cone_cases())
+    @example((np.array([[19.5, 3.0]]), np.array([0.2, 3.0]),
+              np.array([20.0, 20.0]), 0.0, 0.8))          # one row, wrapped
+    @example((np.array([[10.0, 3.0], [0.0, 3.0]]), np.array([5.0, 3.0]),
+              np.array([20.0, 20.0]), 0.1, 0.8))          # empty strip
+    @example((np.array([[0.0, 1.0], [np.nextafter(20.0, 0.0), 1.0]]),
+              np.array([10.0, 1.0]), np.array([20.0, 20.0]), 0.0, 10.0))
+    @example((np.array([[0.0, 1.0], [9.9, 12.0]]), np.array([np.nextafter(
+              20.0, 0.0), 1.0]), np.array([20.0, 20.0]), 0.5, 11.0))
+    @example((np.array([[1.1904166595843224, 5.0]]),
+              np.array([19.13851296910221, 5.0]), np.array([20.0, 20.0]),
+              0.5, 2.051903690482115))   # in the cone, 1 ulp past c + tau - lx
+    @settings(max_examples=400, deadline=None)
+    def test_strip_finds_the_rows_of_a_full_scan(self, case):
+        X, probe, box, tau_lo, tau_hi = case
+        want = _scan_cone_rows(X, probe, box, tau_lo, tau_hi)
+        strip = rt._strip_index(X)
+        if want is None:
+            with pytest.raises(ValueError, match="sits on a particle"):
+                rt._cone_rows(X, strip, 0.8, probe, box, tau_lo, tau_hi)
+            return
+        got = rt._cone_rows(X, strip, 0.8, probe, box, tau_lo, tau_hi)
+        for key, a, b in zip(want._fields, got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), key
+
+    @pytest.mark.parametrize("x,probe", [
+        ((7.0, 4.0), (7.0, 4.0)),
+        ((0.0, 4.0), (0.0, 4.0)),
+        ((0.0, 4.0), (20.0, 4.0)),       # the same point across the wall
+    ])
+    def test_probe_on_particle_in_newest_slab_raises(self, x, probe):
+        X = np.array([[12.0, 12.0], x, [19.0, 1.0]])
+        with pytest.raises(ValueError, match="sits on a particle"):
+            rt._cone_rows(X, rt._strip_index(X), 0.8, np.array(probe),
+                          np.array([20.0, 20.0]), 0.0, 0.04)
 
 
 def _history(t_final=0.6, seed=3, mode="2d"):
