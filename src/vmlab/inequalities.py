@@ -353,7 +353,7 @@ def _as_inv(e) -> Fraction:
     return 1 / Fraction(e)
 
 
-def strichartz_admissible(q1, r1, q2, r2, drop_redundant_upper: bool = False):
+def strichartz_admissible(q1, r1, q2, r2):
     """Exact-arithmetic admissibility of wave-equation mixed-norm exponents.
 
     Inputs are the unprimed exponents (ints, Fractions, or math.inf for the
@@ -365,9 +365,9 @@ def strichartz_admissible(q1, r1, q2, r2, drop_redundant_upper: bool = False):
       1/3 <= 1/r1 + 1/r2 < 1/2
       1 <= q1, q2 < inf,   2 <= r1, r2 <= inf.
 
-    The strict upper bound 1/r1 + 1/r2 < 1/2 is implied by the others;
-    ``drop_redundant_upper`` skips it. Returns (bool, violated-condition
-    names).
+    The strict upper bound 1/r1 + 1/r2 < 1/2 never fails alone: with q1
+    and q2 finite the scaling identity gives 1/q1 + 1/q2 = 1 - 2 (1/r1 +
+    1/r2) > 0. Returns (bool, violated-condition names).
     """
     violated = []
     for name, q in (("q1_range", q1), ("q2_range", q2)):
@@ -391,6 +391,6 @@ def strichartz_admissible(q1, r1, q2, r2, drop_redundant_upper: bool = False):
         violated.append("q2_strict")
     if not (Fraction(1, 3) <= ir1 + ir2):
         violated.append("r_sum_lower")
-    if not drop_redundant_upper and not (ir1 + ir2 < Fraction(1, 2)):
+    if not (ir1 + ir2 < Fraction(1, 2)):
         violated.append("r_sum_upper")
     return not violated, violated

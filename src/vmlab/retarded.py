@@ -38,6 +38,9 @@ __all__ = [
     "slab_weights",
 ]
 
+# a probe time is matched to a stored time of the history within this
+TIME_MATCH = 1e-9
+
 
 # --------------------------------------------------------------------------
 # Kernels
@@ -176,29 +179,22 @@ def slab_weights(r: np.ndarray, tau_lo: float, tau_hi: float):
       W2 = integral of d tau / sqrt(tau^2 - r^2)
          = log(tau + sqrt(tau^2 - r^2)) differences,
 
-    both vanishing when r >= tau_hi. The r -> 0 limits are 1/tau_lo - 1/tau_hi
-    and log(tau_hi/tau_lo).
+    with both tau bounds raised to r, so that both are exactly 0 when
+    r >= tau_hi. The r -> 0 limits are 1/tau_lo - 1/tau_hi and
+    log(tau_hi/tau_lo).
     """
     r = np.asarray(r, dtype=float)
-    w1 = np.zeros_like(r)
-    w2 = np.zeros_like(r)
-    inside = r < tau_hi
-    if not np.any(inside):
-        return w1, w2
-    rr = r[inside]
-    lo = np.maximum(rr, tau_lo)
-    small = rr < 1e-12
-    safe_r = np.where(small, 1.0, rr)
-    a_hi = np.arccos(np.clip(safe_r / tau_hi, -1.0, 1.0))
+    lo = np.maximum(r, tau_lo)
+    hi = np.maximum(r, tau_hi)
+    small = r < 1e-12
+    safe_r = np.where(small, 1.0, r)
+    a_hi = np.arccos(np.clip(safe_r / hi, -1.0, 1.0))
     a_lo = np.arccos(np.clip(safe_r / lo, -1.0, 1.0))
-    w1_in = np.where(small,
-                     1.0 / np.maximum(tau_lo, 1e-300) - 1.0 / tau_hi,
-                     (a_hi - a_lo) / safe_r)
-    s_hi = np.sqrt(np.maximum(tau_hi ** 2 - rr ** 2, 0.0))
-    s_lo = np.sqrt(np.maximum(lo ** 2 - rr ** 2, 0.0))
-    w2_in = np.log(tau_hi + s_hi) - np.log(lo + s_lo)
-    w1[inside] = w1_in
-    w2[inside] = w2_in
+    w1 = np.where(small, 1.0 / np.maximum(lo, 1e-300) - 1.0 / hi,
+                  (a_hi - a_lo) / safe_r)
+    s_hi = np.sqrt(np.maximum(hi ** 2 - r ** 2, 0.0))
+    s_lo = np.sqrt(np.maximum(lo ** 2 - r ** 2, 0.0))
+    w2 = np.log(hi + s_hi) - np.log(lo + s_lo)
     return w1, w2
 
 
@@ -295,48 +291,38 @@ def _cone_rows(X, strip, t: float, probe, box, tau_lo: float,
     return _ConeRows(idx, d, r, w1, w2, xi)
 
 
-class _ConeSums:
-    """Accumulates all particle cone sums at a probe in one history pass."""
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.E_T = np.zeros(3)
-        self.B_T = np.zeros(3)
-        self.E_S = np.zeros(3)
-        self.B_S = np.zeros(3)
-        self.ks1 = 0.0
-        self.ks2 = 0.0
-
-    def add_step(self, c: _ConeRows, P, wp, force=None, kg=None):
-        """Add one slab's cone rows ``c``; P, wp, force (3 components) and
-        kg hold those rows only. Without ``force`` only the T sums are
-        taken. A planar history is the p3 = 0 case of the same sums."""
-        w1, w2, xi = c.w1, c.w2, c.xi
-        p3 = embed3(P)
-        eT, bT, deS, dbS = kernel_arrays_25d(p3, xi)
-        self.E_T += np.sum((wp * w1)[:, None] * eT, axis=0)
-        self.B_T += np.sum((wp * w1)[:, None] * bT, axis=0)
-        if force is None:
-            return
-        self.E_S += np.sum(
-            (wp * w2)[:, None] * np.einsum("nij,nj->ni", deS, force), axis=0)
-        self.B_S += np.sum(
-            (wp * w2)[:, None] * np.einsum("nij,nj->ni", dbS, force), axis=0)
-        p0 = p0_of(p3)
-        kappa = (p3[:, 0] * xi[:, 0] + p3[:, 1] * xi[:, 1]) / p0
-        bp3 = 1.0 + p3[:, 2] ** 2
-        wk = wp * w2 * np.sqrt(np.sum(force ** 2, axis=1))
-        if self.mode == "2d":
-            self.ks1 += float(np.sum(wk / p0))
-        else:
-            self.ks1 += float(np.sum(
-                wk * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa)))))
-        self.ks2 += float(np.sum(wp * w2 * kg * bp3 / ((1.0 + kappa) * p0)))
+def _slab_sums(mode: str, c: _ConeRows, P, wp, eb) -> np.ndarray:
+    """The cone sums of one slab's rows ``c`` as one array: E_T, B_T, E_S
+    and B_S (3 components each), then the majorants ks1 and ks2. P, wp and
+    the gathered fields ``eb`` = (E, B) hold those rows only; with ``eb``
+    None (the force-free flow) only the T sums are taken. A planar history
+    is the p3 = 0 case of the same sums."""
+    out = np.zeros(14)
+    p3 = embed3(P)
+    eT, bT, deS, dbS = kernel_arrays_25d(p3, c.xi)
+    out[0:3] = np.sum((wp * c.w1)[:, None] * eT, axis=0)
+    out[3:6] = np.sum((wp * c.w1)[:, None] * bT, axis=0)
+    if eb is None:
+        return out
+    E, B = eb
+    p0 = p0_of(p3)
+    force = E + np.cross(p3 / p0[:, None], B)
+    kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r), mode))
+    ww = wp * c.w2
+    out[6:9] = np.sum(ww[:, None] * np.einsum("nij,nj->ni", deS, force), axis=0)
+    out[9:12] = np.sum(ww[:, None] * np.einsum("nij,nj->ni", dbS, force), axis=0)
+    kappa = (p3[:, 0] * c.xi[:, 0] + p3[:, 1] * c.xi[:, 1]) / p0
+    bp3 = 1.0 + p3[:, 2] ** 2
+    wk = ww * np.sqrt(np.sum(force ** 2, axis=1))
+    out[12] = np.sum(wk / p0 if mode == "2d" else
+                     wk * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa))))
+    out[13] = np.sum(ww * kg * bp3 / ((1.0 + kappa) * p0))
+    return out
 
 
 def _history_index(history: "pic.RunHistory", t: float) -> int:
     k = int(np.argmin(np.abs(history.times - t)))
-    if abs(history.times[k] - t) > 1e-9:
+    if abs(history.times[k] - t) > TIME_MATCH:
         raise ValueError(f"history does not store the probe time t={t}")
     return k
 
@@ -408,18 +394,9 @@ class RepresentationReport:
         return self.data_B + self.B_T + self.B_S
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t, "x": list(map(float, self.x)),
-            "data_E": list(map(float, self.data_E)),
-            "data_B": list(map(float, self.data_B)),
-            "E_T": list(map(float, self.E_T)),
-            "B_T": list(map(float, self.B_T)),
-            "E_S": list(map(float, self.E_S)),
-            "B_S": list(map(float, self.B_S)),
-            "total_E": list(map(float, self.total_E)),
-            "total_B": list(map(float, self.total_B)),
-            "ks1_bound": self.ks1_bound, "ks2_bound": self.ks2_bound,
-        }
+        """The fields and the totals as JSON-native values."""
+        vals = {**vars(self), "total_E": self.total_E, "total_B": self.total_B}
+        return {k: np.asarray(v).tolist() for k, v in vals.items()}
 
 
 def field_from_representation(history: "pic.RunHistory", t: float,
@@ -459,32 +436,25 @@ def _probe_report(history, t, probe, box, slabs, strips, free_x, g_fields):
     """One probe of ``field_from_representation``: the cone sums of the
     interacting and the force-free flow over the slabs, on cone rows only.
     ``strips`` holds the ``_strip_index`` of both flows at each slab's step."""
-    mode = history.mode
     w = history.w
-    sums = _ConeSums(mode)
-    free_sums = _ConeSums(mode)
+    sums = np.zeros(14)
+    free_sums = np.zeros(14)
     for j, tau_lo, tau_hi in slabs:
         X = history.part_x[j]
         strip, free_strip = strips[j]
         c = _cone_rows(X, strip, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
-            P = history.part_p[j][c.idx]
-            E, B = _gather_eb(history.grid, history.E[j], history.B[j],
-                              X[c.idx])
-            p3 = embed3(P)
-            force = E + np.cross(p3 / p0_of(p3)[:, None], B)
-            kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
-                                              mode))
-            sums.add_step(c, P, w[c.idx], force=force, kg=kg)
+            eb = _gather_eb(history.grid, history.E[j], history.B[j], X[c.idx])
+            sums += _slab_sums(history.mode, c, history.part_p[j][c.idx],
+                               w[c.idx], eb)
         c = _cone_rows(free_x[j], free_strip, t, probe, box, tau_lo, tau_hi)
         if c.idx.size:
-            free_sums.add_step(c, history.part_p[0][c.idx], w[c.idx])
+            free_sums += _slab_sums(history.mode, c, history.part_p[0][c.idx],
+                                    w[c.idx], None)
 
     g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B,
                           probe.reshape(1, 2))
-    return RepresentationReport(
-        t=t, x=probe,
-        data_E=g_E[0] - free_sums.E_T, data_B=g_B[0] - free_sums.B_T,
-        E_T=sums.E_T, B_T=sums.B_T, E_S=sums.E_S, B_S=sums.B_S,
-        ks1_bound=sums.ks1, ks2_bound=sums.ks2)
-
+    # the slab sums are laid out in the report's field order from E_T on
+    return RepresentationReport(t, probe, g_E[0] - free_sums[0:3],
+                                g_B[0] - free_sums[3:6],
+                                *sums[:12].reshape(4, 3), *sums[12:])

@@ -246,6 +246,21 @@ class TestFieldsCompare:
         data = json.loads(rep.read_text())
         assert "warning" in data["probes"][0]
 
+    @pytest.mark.parametrize("t_off", [-5e-10, 5e-10])
+    def test_probe_time_window_is_symmetric(self, history_run, tmp_path,
+                                            t_off):
+        # a probe within the 1e-9 match window of t = 0 on either side gives
+        # the t = 0 record, apart from t
+        pts = [{"t": 0.0, "x": [10.5, 9.5]}, {"t": t_off, "x": [10.5, 9.5]}]
+        rep = tmp_path / "rep.json"
+        assert run_cli("fields-compare", str(history_run),
+                       "--probes", str(self._probes(tmp_path, pts)),
+                       "--out", str(rep)) == cli.EXIT_OK
+        at, off = json.loads(rep.read_text())["probes"]
+        assert "warning" not in off and off.pop("t") == t_off
+        del at["t"]
+        assert off == at
+
     def test_records_in_input_order_across_times(self, history_run, tmp_path):
         pts = [{"t": 0.1, "x": [10.0, 10.0]},
                {"t": 0.2, "x": [11.0, 9.0]},
@@ -416,6 +431,11 @@ class TestStrichartzCheck:
     def test_bad_exponent_is_usage_error(self):
         assert run_cli("strichartz-check", "x", "4", "2",
                        "4") == cli.EXIT_USAGE
+
+    def test_removed_option_is_usage_error(self):
+        # 1/r1 + 1/r2 < 1/2 never fails alone, so nothing is left to drop
+        assert run_cli("strichartz-check", "336/19", "32/5", "112/31",
+                       "96/17", "--drop-redundant-upper") == cli.EXIT_USAGE
 
 
 class TestParser:

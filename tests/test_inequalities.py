@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vmlab import inequalities as ineq
@@ -140,13 +140,33 @@ class TestStrichartzArithmetic:
         assert not ok
         assert "scaling_identity" in bad
 
-    def test_redundant_upper_bound_flag(self):
-        # the upper bound 1/r1 + 1/r2 < 1/2 is implied by the rest; dropping
-        # it never changes the verdict on admissible sets
-        ok1, _ = ineq.strichartz_admissible(
-            Fraction(336, 19), Fraction(32, 5), Fraction(112, 31),
-            Fraction(96, 17), drop_redundant_upper=True)
-        assert ok1
+    @settings(max_examples=400, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=48).filter(lambda v: v > 0),
+           st.fractions(0, Fraction(1, 2), max_denominator=48),
+           st.fractions(0, 1, max_denominator=48).filter(lambda v: v > 0),
+           st.fractions(0, Fraction(1, 2), max_denominator=48),
+           st.booleans())
+    @example(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
+             False)
+    @example(Fraction(19, 336), Fraction(5, 32), Fraction(31, 112),
+             Fraction(17, 96), False)
+    @example(Fraction(1, 2), Fraction(1, 8), Fraction(1, 2), Fraction(0),
+             True)
+    def test_r_sum_upper_never_fails_alone(self, iq1, ir1, iq2, ir2,
+                                            on_identity):
+        # with q1, q2 finite the scaling identity gives 1/q1 + 1/q2 =
+        # 1 - 2 (1/r1 + 1/r2) > 0, so 1/r1 + 1/r2 < 1/2 can fail only with
+        # another condition; half the draws solve the identity for 1/r2
+        if on_identity:
+            ir2 = (1 - iq1 - iq2) / 2 - ir1
+            assume(0 <= ir2 <= Fraction(1, 2))
+        exps = [1 / v if v else math.inf for v in (iq1, ir1, iq2, ir2)]
+        ok, violated = ineq.strichartz_admissible(*exps)
+        assert violated != ["r_sum_upper"]
+        assert ok == (violated == [])
+        if on_identity:
+            assert "scaling_identity" not in violated
+            assert "r_sum_upper" not in violated
 
     def test_infinite_r_handled(self):
         ok, bad = ineq.strichartz_admissible(4, math.inf, 1, 2)

@@ -3,6 +3,7 @@ differentiation, majorant constants, the cone quadrature oracle, slab
 weights, and the field representation."""
 
 import dataclasses
+import json
 import math
 
 import mpmath
@@ -260,6 +261,20 @@ class TestSlabWeights:
         assert w1[0] == 0.0
         assert w2[0] == 0.0
 
+    def test_mixed_array_equals_elementwise_calls(self):
+        # r = 0, a row inside the slab, r = tau_lo, r = tau_hi exactly and
+        # beyond it: one call equals the calls on each row, and both weights
+        # are exactly 0 from tau_hi on
+        tau_lo, tau_hi = 0.5, 1.0
+        r = np.array([0.0, 0.7, tau_lo, tau_hi, 1.5])
+        w1, w2 = rt.slab_weights(r, tau_lo, tau_hi)
+        for i, ri in enumerate(r):
+            e1, e2 = rt.slab_weights(np.array([ri]), tau_lo, tau_hi)
+            assert w1[i] == e1[0] and w2[i] == e2[0], ri
+        out = r >= tau_hi
+        assert np.all(w1[out] == 0.0) and np.all(w2[out] == 0.0)
+        assert np.all(w1[~out] > 0.0) and np.all(w2[~out] > 0.0)
+
 
 def _scan_cone_rows(X, probe, box, tau_lo, tau_hi):
     """The oracle of ``_cone_rows``: the minimum image of every row, then
@@ -344,6 +359,13 @@ class TestConeRows:
         with pytest.raises(ValueError, match="sits on a particle"):
             rt._cone_rows(X, rt._strip_index(X), 0.8, np.array(probe),
                           np.array([20.0, 20.0]), 0.0, 0.04)
+
+
+def _json_native(v) -> bool:
+    """Whether v is built of Python's own JSON types only."""
+    if type(v) is list:
+        return all(map(_json_native, v))
+    return type(v) in (float, int, str, bool)
 
 
 def _history(t_final=0.6, seed=3, mode="2d"):
@@ -435,6 +457,16 @@ class TestRepresentation:
             assert key in d
         assert np.all(np.isfinite(rep.total_E))
         assert rep.ks1_bound >= 0.0 and rep.ks2_bound >= 0.0
+
+    def test_to_dict_is_the_compare_record(self):
+        # the keys of a compare.json probe record, and JSON-native values only
+        h = _history(t_final=0.3)
+        d = rt.field_from_representation(h, 0.3, [(11.0, 10.0)])[0].to_dict()
+        assert set(d) == {"t", "x", "data_E", "data_B", "E_T", "B_T", "E_S",
+                          "B_S", "total_E", "total_B", "ks1_bound", "ks2_bound"}
+        assert json.loads(json.dumps(d)) == d
+        # np.float64 subclasses float and passes the round trip
+        assert all(map(_json_native, d.values())), d
 
     def test_free_flow_wraps_tiny_negative_position(self):
         # a particle at rest at x = -1e-17: the plain remainder wraps it to
