@@ -40,14 +40,14 @@ def _rotate_about(p3: np.ndarray, b: np.ndarray, angle: np.ndarray) -> np.ndarra
     return c * p3 + s * np.cross(p3, b) + (1.0 - c) * pb * b
 
 
-def push_many(x: np.ndarray, p: np.ndarray, fields,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
+def push_many(x: np.ndarray, p: np.ndarray, p0: np.ndarray, fields,
+              dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One symmetric step for a batch of particles; works for dt of either sign.
 
-    x: (n, 2) positions, p: (n, d_p) momenta; ``fields`` is the sampler
-    x -> (E, B) of the live components. Returns (x, p) one step of dt later.
+    x: (n, 2) positions, p: (n, d_p) momenta with energies p0 = ``p0_of(p)``
+    (n,); ``fields`` is the sampler x -> (E, B) of the live components.
+    Returns (x, p, p0) one step of dt later.
     """
-    p0 = p0_of(p)
     xh = x + (0.5 * dt) * (p[..., :2] / p0[..., None])
     E, B = fields(xh)
     pm = p + (0.5 * dt) * E
@@ -63,5 +63,6 @@ def push_many(x: np.ndarray, p: np.ndarray, fields,
         axis = B / np.where(bmag > 0.0, bmag, 1.0)[..., None]
         pp = _rotate_about(pm, axis, bmag * dt / p0_of(pm))
     pn = pp + (0.5 * dt) * E
-    xn = xh + (0.5 * dt) * (pn[..., :2] / p0_of(pn)[..., None])
-    return xn, pn
+    p0n = p0_of(pn)
+    xn = xh + (0.5 * dt) * (pn[..., :2] / p0n[..., None])
+    return xn, pn, p0n

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from collections.abc import Callable
@@ -52,6 +53,12 @@ def _write_manifest(out_dir, scn, outputs, t0, t1):
         "wall_time_start": t0,
         "wall_time_end": t1,
         "outputs": sorted(outputs),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+        },
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:

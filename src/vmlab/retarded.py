@@ -343,11 +343,12 @@ def _free_field_rerun(history: "pic.RunHistory", k: int, free_x):
     grid = history.grid
     box = np.array([grid.lx, grid.ly])
     fields = mx.FieldState(history.mode, grid, history.E[0], history.B[0])
+    work = pic.deposit_work(len(history.w))
 
     def current_at(j):
         ens = pic.ParticleEnsemble(x=free_x[j], w=history.w,
                                    p=history.part_p[0], box=box)
-        return pic.deposit(ens, grid)[1]
+        return pic.deposit(ens, grid, work)[1]
 
     cur = current_at(0)
     for j in range(k):

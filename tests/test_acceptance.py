@@ -369,9 +369,9 @@ class TestMomentInequality:
             return np.zeros((len(x), 3)), np.zeros((len(x), 3))
 
         m0 = float(np.sum(ens.w * ens.p0 ** 2))
-        x, p = ens.x, ens.p
+        x, p, p0 = ens.x, ens.p, ens.p0
         for _ in range(20):
-            x, p = chars.push_many(x, p, zero, scn.dt)
+            x, p, p0 = chars.push_many(x, p, p0, zero, scn.dt)
         m1 = float(np.sum(ens.w * (1.0 + np.sum(p * p, axis=1))))
         assert abs(m1 - m0) <= 1e-12 * max(1.0, abs(m0))
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmlab import characteristics as chars
-from vmlab.phase import embed3
+from vmlab.phase import embed3, p0_of
 
 
 # Samplers x -> (E, B) of the live components: (E1, E2) and B3 for planar
@@ -38,7 +38,7 @@ class TestFreeStreaming:
         # with E = B = 0 a single step moves x by dt * phat exactly
         x = np.array([[1.0, 2.0]])
         p = np.array([[3.0, 4.0]])
-        xn, pn = chars.push_many(x, p, zero_fields, 0.7)
+        xn, pn, _ = chars.push_many(x, p, p0_of(p), zero_fields, 0.7)
         phat = p / math.sqrt(26.0)
         assert np.allclose(xn, x + 0.7 * phat, rtol=0, atol=1e-14)
         assert np.array_equal(pn, p)
@@ -48,7 +48,7 @@ class TestFreeStreaming:
     def test_momentum_frozen(self, p1, p2, dt):
         x = np.array([[0.0, 0.0]])
         p = np.array([[p1, p2]])
-        _, pn = chars.push_many(x, p, zero_fields, dt)
+        _, pn, _ = chars.push_many(x, p, p0_of(p), zero_fields, dt)
         assert np.array_equal(pn, p)
 
 
@@ -58,7 +58,8 @@ class TestMagneticRotation:
         p = np.array([[2.0, -1.0, 0.5]])
         norm0 = np.linalg.norm(p)
         for _ in range(200):
-            x, p = chars.push_many(x, p, uniform_b(3.0, d_p=3), 0.05)
+            x, p, _ = chars.push_many(x, p, p0_of(p), uniform_b(3.0, d_p=3),
+                                      0.05)
         assert np.linalg.norm(p) == pytest.approx(norm0, abs=1e-12)
 
     def test_gyration_angle(self):
@@ -69,7 +70,7 @@ class TestMagneticRotation:
         x = np.array([[0.0, 0.0]])
         p0 = math.sqrt(2.0)
         for _ in range(n):
-            x, p = chars.push_many(x, p, uniform_b(b3), dt)
+            x, p, _ = chars.push_many(x, p, p0_of(p), uniform_b(b3), dt)
         ang = -b3 * n * dt / p0
         assert np.allclose(p[0], [math.cos(ang), math.sin(ang)], atol=1e-4)
 
@@ -92,8 +93,9 @@ class TestPlanarRotation:
             z = np.zeros(n)
             return embed3(e), np.stack([z, z, b3], axis=-1)
 
-        xn, pn = chars.push_many(x, p, lambda xh: (e, b3), dt)
-        x3, p3 = chars.push_many(x, embed3(p), fields3, dt)
+        xn, pn, _ = chars.push_many(x, p, p0_of(p), lambda xh: (e, b3), dt)
+        x3, p3, _ = chars.push_many(x, embed3(p), p0_of(embed3(p)), fields3,
+                                     dt)
         assert pn.shape == (n, 2)
         assert np.array_equal(xn, x3)
         assert np.array_equal(pn, p3[:, :2])
@@ -105,7 +107,7 @@ class TestElectricKick:
         # with B = 0 and uniform E the momentum update is exact: p += dt E
         x = np.array([[0.0, 0.0]])
         p = np.array([[0.3, -0.2]])
-        xn, pn = chars.push_many(x, p, uniform_e(0.5), 0.2)
+        xn, pn, _ = chars.push_many(x, p, p0_of(p), uniform_e(0.5), 0.2)
         assert np.allclose(pn, p + np.array([[0.1, 0.0]]), atol=1e-15)
 
 
@@ -115,7 +117,7 @@ def flow(fields, t_from, t_to, x, p, dt):
     n = math.ceil(abs(t_to - t_from) / dt - 1e-12)
     h = (t_to - t_from) / n
     for _ in range(n):
-        x, p = chars.push_many(x, p, fields, h)
+        x, p, _ = chars.push_many(x, p, p0_of(p), fields, h)
     return x, p
 
 

@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import platform
 import tempfile
 from pathlib import Path
 
@@ -60,6 +62,12 @@ class TestSimulate:
         assert len(man["config_hash"]) == 64
         assert man["mode"] == "2d"
         assert "diagnostics.csv" in man["outputs"]
+        env = man["environment"]
+        assert sorted(env) == ["cpu_count", "numpy", "platform", "python"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert env["platform"] == platform.platform()
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_overrides_change_hash(self, small_scenario, tmp_path):
         o1, o2 = tmp_path / "a", tmp_path / "b"

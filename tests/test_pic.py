@@ -2,6 +2,7 @@
 gathering, the coupled time loop, and its conservation reports."""
 
 import dataclasses
+import json
 import re
 import zipfile
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vmlab import cli, phase, pic
 from vmlab import maxwell as mx
-from vmlab import pic
-from vmlab.phase import ParticleEnsemble
+from vmlab.phase import ParticleEnsemble, p0_of
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -229,6 +230,44 @@ class TestDeposit:
         box = np.array([20.0, 20.0])
         x = pic.wrap_box(np.array([[-1e-17, 5.0], [25.0, -3.0]]), box)
         assert np.array_equal(x, [[0.0, 5.0], [5.0, 17.0]])
+        # one add or subtract within a box of [0, box), np.mod beyond it,
+        # with the bits and signs of np.mod clamped below box
+        v = np.array([-0.0, 0.0, -1e-17, 20.0, np.nextafter(20.0, 0.0),
+                      40.0, 70.0, -41.0, -20.0, 20.04, -0.04, 7.5])
+        x = np.stack([v, v[::-1]], axis=-1)
+        ref = np.mod(x, box)
+        ref = np.where(ref >= box, 0.0, ref)
+        for pts, want in ((x, ref), (x.reshape(2, -1, 2), ref.reshape(2, -1, 2))):
+            got = pic.wrap_box(pts, box)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.all((got >= 0.0) & (got < box))
+
+    def test_cic_stencil_edges(self):
+        # x / h rounds up to n just below each box side on this grid
+        g = mx.Grid(6, 5, 1.0, 7.0)
+        assert np.nextafter(g.lx, 0.0) / g.hx == g.nx
+        assert np.nextafter(g.ly, 0.0) / g.hy == g.ny
+        xs = [0.0, np.nextafter(g.lx, 0.0), 2 * g.hx, 0.5, -1e-17,
+              -0.5 * g.hx, np.nextafter(-g.hx, 0.0)]
+        ys = [0.0, np.nextafter(g.ly, 0.0), 3 * g.hy, 2.0, -1e-17,
+              -0.5 * g.hy, np.nextafter(-g.hy, 0.0)]
+        x = np.array([[a, b] for a in xs for b in ys])
+        # the outer-product form of the tensor-product CIC shape
+        axes = []
+        for c, (n, h) in enumerate(((g.nx, g.hx), (g.ny, g.hy))):
+            f = x[:, c] / h
+            i0 = np.floor(f)
+            t = f - i0
+            axes.append(((i0.astype(np.intp) + np.arange(2)[:, None]) % n,
+                         np.stack((1.0 - t, t))))
+        (ix, wx), (iy, wy) = axes
+        want_idx = (ix[:, None] * g.ny + iy[None, :]).reshape(4, -1)
+        want_w = (wx[:, None] * wy[None, :]).reshape(4, -1)
+        idx, w, wdx, wdy = pic._stencil(g, x)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(w, want_w)
+        assert wdx is None and wdy is None
 
 
 def _central_inplane_b(g, a3, pos, h=1e-6):
@@ -422,9 +461,9 @@ class TestRun:
         calls = []
         deposit = pic.deposit
 
-        def counted(ens, grid):
+        def counted(ens, grid, *work):
             calls.append(len(ens))
-            return deposit(ens, grid)
+            return deposit(ens, grid, *work)
 
         monkeypatch.setattr(pic, "deposit", counted)
         pic.run(pic.scenario_from_dict(small_cfg(t_final=0.1), path="inline"))
@@ -465,6 +504,43 @@ class TestRun:
         mon = pic.moment_inequality_monitor(pic.run(scn))
         assert np.isfinite(mon["constant"])
         assert mon["constant"] >= 0.0
+
+
+class TestBlocks:
+    """The particle step runs ``pic._BLOCK`` rows at a time; the block size
+    must not change a bit of any output."""
+
+    @pytest.mark.parametrize("cfg", [small_cfg, small_cfg_25d])
+    def test_block_size_leaves_outputs_unchanged(self, cfg, tmp_path,
+                                                 monkeypatch):
+        n = 2 * pic._BLOCK + 3
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(cfg(n_particles=n, t_final=0.1)))
+        files = ("diagnostics.csv", "ensemble.csv", "fields.csv")
+        outs = []
+        for block in (pic._BLOCK, 7, n + 1):
+            monkeypatch.setattr(pic, "_BLOCK", block)
+            out = tmp_path / f"block{block}"
+            assert cli.main(["simulate", str(scn), "--out", str(out)]) == 0
+            outs.append([(out / f).read_bytes() for f in files])
+        assert outs[1] == outs[0]
+        assert outs[2] == outs[0]
+
+    @pytest.mark.parametrize("cfg", [small_cfg, small_cfg_25d])
+    def test_push_hands_its_p0_to_the_next_ensemble(self, cfg, monkeypatch):
+        # an ensemble computes p0 on first use; after a step it has the
+        # push's, so only the initial ensemble computes its own
+        calls = []
+
+        def counted(p):
+            calls.append(len(p))
+            return p0_of(p)
+
+        monkeypatch.setattr(phase, "p0_of", counted)
+        ens = pic.run(pic.scenario_from_dict(cfg(t_final=0.1),
+                                             path="inline")).ensemble
+        assert len(calls) == 1
+        assert np.array_equal(ens.p0, p0_of(ens.p))
 
 
 class TestSeriesAndHistory:
@@ -520,8 +596,8 @@ class TestForceFree:
         ens = pic.sample_ensemble(scn)
         zero = lambda x: (np.zeros((len(x), 2)), np.zeros(len(x)))  # noqa: E731
         m0 = float(np.sum(ens.w * ens.p0 ** 2))
-        x, p = ens.x, ens.p
+        x, p, p0 = ens.x, ens.p, ens.p0
         for _ in range(20):
-            x, p = chars.push_many(x, p, zero, 0.05)
+            x, p, p0 = chars.push_many(x, p, p0, zero, 0.05)
         m1 = float(np.sum(ens.w * (1.0 + np.sum(p * p, axis=1))))
         assert abs(m1 - m0) <= 1e-12 * max(1.0, abs(m0))
