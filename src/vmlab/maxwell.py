@@ -8,16 +8,21 @@ modes are supported:
   "2.5d": all six components                 (3-component momenta)
 
 Spatial derivatives are spectral (FFT), so the divergence constraints and
-Poisson solves are exact at grid scale. The time step applies the exact
-per-Fourier-mode propagator of the curl system with the current held
-constant over the step (Duhamel), which conserves source-free field energy
-to machine precision.
+Poisson solves are exact at grid scale; no other module transforms, and a
+grid's gradient wavenumbers and k^2 live in one table, ``Grid.k_table``.
+The time step applies the exact per-Fourier-mode propagator of the curl
+system with the current held constant over the step (Duhamel), which
+conserves source-free field energy to machine precision. With k3 = 0 it
+splits into the TE triple (E1, E2, B3), driven by (j1, j2), and the TM
+triple (B1, B2, E3), driven by j3, which never couple. The Gauss correction
+swaps the longitudinal (E1, E2) for the Poisson field of the charge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +34,9 @@ __all__ = [
     "step_maxwell",
     "constraint_residual",
     "poisson_efield",
+    "gauss_correct",
     "gauge_a3",
+    "curl_a3",
     "evolve_a3",
     "field_energy",
     "energy",
@@ -68,21 +75,25 @@ class Grid:
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.hy)
         return kx[:, None], ky[None, :]
 
-    def gradient_wavenumbers(self):
-        """Wavenumbers for odd-derivative (gradient/divergence) operators.
+    @cached_property
+    def k_table(self):
+        """Read-only (kx (nx, 1), ky (1, ny), k2 = kx^2 + ky^2) of the
+        odd-derivative (gradient/divergence) operators, built once per grid.
 
         On even grids the lone signed Nyquist frequency breaks the oddness
         k -> -k that spectral derivatives of real data require, so it is
-        zeroed — the standard convention for spectral differentiation.
+        zeroed — the standard convention for spectral differentiation. So
+        k2 = 0 just on the mean and the self-conjugate corners.
         """
         kx, ky = self.wavenumbers()
-        kx = kx.copy()
-        ky = ky.copy()
         if self.nx % 2 == 0:
             kx[self.nx // 2, 0] = 0.0
         if self.ny % 2 == 0:
             ky[0, self.ny // 2] = 0.0
-        return kx, ky
+        table = (kx, ky, kx * kx + ky * ky)
+        for a in table:
+            a.flags.writeable = False
+        return table
 
     def mesh(self):
         x = (np.arange(self.nx) + 0.0) * self.hx
@@ -132,13 +143,18 @@ def _ifft2(a: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(a, axes=(-2, -1)).real
 
 
-def _cross_khat(khat1, khat2, v):
-    """(khat x v) for khat = (khat1, khat2, 0) and v with shape (3, nx, ny)."""
-    return np.stack([
-        khat2 * v[2],
-        -khat1 * v[2],
-        khat1 * v[1] - khat2 * v[0],
-    ])
+def _inv_neg_lap(vk: np.ndarray, grid: Grid) -> np.ndarray:
+    """(-lap)^-1 of the spectrum vk: vk / k2, and 0 where k2 = 0."""
+    k2 = grid.k_table[2]
+    return np.where(k2 > 0, vk / np.where(k2 > 0, k2, 1.0), 0.0)
+
+
+def _split(k1, k2, v1, v2):
+    """(longitudinal 1, 2, transverse 1, 2) parts of the in-plane spectral
+    pair (v1, v2) along the unit wavevector (k1, k2)."""
+    par = k1 * v1 + k2 * v2
+    l1, l2 = k1 * par, k2 * par
+    return l1, l2, v1 - l1, v2 - l2
 
 
 def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
@@ -148,7 +164,8 @@ def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
     Per Fourier mode the curl system dE/dt = ik x B - j, dB/dt = -ik x E is
     solved exactly: the transverse pair rotates with angle |k| dt and the
     constant current enters through the closed-form Duhamel term; the
-    longitudinal electric part integrates dE/dt = -j exactly.
+    longitudinal electric part integrates dE/dt = -j exactly. Only 2.5d
+    steps the TM triple (B1, B2, E3); in 2d it stays 0 and j3 is not read.
 
     A CFL-style precondition dt <= min(hx, hy) is enforced before
     stepping (the propagator itself is unconditionally stable; the check
@@ -168,46 +185,34 @@ def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
     if dt > h * (1.0 + 1e-12):
         raise ValueError(f"time step dt={dt} violates dt <= h = {h}")
 
-    Ek = _fft2(fields.E)
-    Bk = _fft2(fields.B)
-    jk = _fft2(j)
-
     kx, ky = g.wavenumbers()
     kmag = np.sqrt(kx * kx + ky * ky)
     nz = kmag > 0.0
     ksafe = np.where(nz, kmag, 1.0)
-    khat1 = np.where(nz, kx / ksafe, 0.0)
-    khat2 = np.where(nz, ky / ksafe, 0.0)
-
-    # longitudinal / transverse split (k3 = 0, so E3 and B3 are transverse)
-    def split(vk):
-        par = khat1 * vk[0] + khat2 * vk[1]
-        vpar = np.stack([khat1 * par, khat2 * par, np.zeros_like(par)])
-        return vpar, vk - vpar
-
-    Epar, Eperp = split(Ek)
-    Bpar, Bperp = split(Bk)
-    jpar, jperp = split(jk)
-
+    k1 = np.where(nz, kx / ksafe, 0.0)                # k / |k|, 0 at k = 0
+    k2 = np.where(nz, ky / ksafe, 0.0)
     c = np.cos(kmag * dt)
     s = np.sin(kmag * dt)
     sk = np.where(nz, s / ksafe, dt)                  # sin(k dt)/k -> dt
-    ck = np.where(nz, (1.0 - c) / ksafe, 0.0)         # (1-cos(k dt))/k -> 0
+    ick = 1j * np.where(nz, (1.0 - c) / ksafe, 0.0)   # (1-cos(k dt))/k -> 0
+    isn = 1j * s
 
-    En = c * Eperp + 1j * s * _cross_khat(khat1, khat2, Bperp) - sk * jperp
-    Bn = c * Bperp - 1j * s * _cross_khat(khat1, khat2, Eperp) \
-        + 1j * ck * _cross_khat(khat1, khat2, jperp)
-    En = En + Epar - dt * jpar
-    Bn = Bn + Bpar
-    # k = 0 mode: dE/dt = -j, B constant (handled by sk -> dt, ck -> 0 above
-    # for the "perp" branch where khat = 0 makes the rotation trivial)
-
-    E = _ifft2(En)
-    B = _ifft2(Bn)
-    if fields.mode == "2d":
-        E[2] = 0.0
-        B[0] = 0.0
-        B[1] = 0.0
+    E = np.zeros((3, g.nx, g.ny))
+    B = np.zeros((3, g.nx, g.ny))
+    b3 = _fft2(fields.B[2])
+    e1l, e2l, e1, e2 = _split(k1, k2, _fft2(fields.E[0]), _fft2(fields.E[1]))
+    j1l, j2l, j1, j2 = _split(k1, k2, _fft2(j[0]), _fft2(j[1]))
+    E[0] = _ifft2(c * e1 + isn * (k2 * b3) - sk * j1 + e1l - dt * j1l)
+    E[1] = _ifft2(c * e2 + isn * (-k1 * b3) - sk * j2 + e2l - dt * j2l)
+    B[2] = _ifft2(c * b3 - isn * (k1 * e2 - k2 * e1)
+                  + ick * (k1 * j2 - k2 * j1))
+    if fields.mode == "2.5d":
+        e3, j3 = _fft2(fields.E[2]), _fft2(j[2])
+        b1l, b2l, b1, b2 = _split(k1, k2, _fft2(fields.B[0]),
+                                  _fft2(fields.B[1]))
+        B[0] = _ifft2(c * b1 - isn * (k2 * e3) + ick * (k2 * j3) + b1l)
+        B[1] = _ifft2(c * b2 - isn * (-k1 * e3) + ick * (-k1 * j3) + b2l)
+        E[2] = _ifft2(c * e3 + isn * (k1 * b2 - k2 * b1) - sk * j3)
     return FieldState(mode=fields.mode, grid=g, E=E, B=B)
 
 
@@ -216,32 +221,19 @@ def constraint_residual(fields: FieldState, rho: np.ndarray) -> tuple[float, flo
     divergences and the grid cell measure.
 
     rho is projected onto the range of the discrete divergence before
-    comparing: the spatial mean is removed (on the periodic box a nonzero
-    net charge is neutralized by a uniform background) and, on even grids,
-    the self-conjugate corner modes are zeroed, since the divergence of any
-    real field vanishes identically there.
+    comparing: the modes where k2 = 0 are dropped, that is the spatial mean
+    (on the periodic box a nonzero net charge is neutralized by a uniform
+    background) and, on even grids, the self-conjugate corners, where the
+    divergence of any real field vanishes identically.
     """
     g = fields.grid
-    kx, ky = g.gradient_wavenumbers()
+    kx, ky, k2 = g.k_table
     divE = _ifft2(1j * (kx * _fft2(fields.E[0]) + ky * _fft2(fields.E[1])))
     divB = _ifft2(1j * (kx * _fft2(fields.B[0]) + ky * _fft2(fields.B[1])))
-    rho = _project_divergence_range(np.asarray(rho, dtype=float), g)
+    rho = _ifft2(np.where(k2 > 0, _fft2(np.asarray(rho, dtype=float)), 0.0))
     resE = math.sqrt(float(np.sum((divE - rho) ** 2)) * g.cell)
     resB = math.sqrt(float(np.sum(divB ** 2)) * g.cell)
     return resE, resB
-
-
-def _project_divergence_range(rho: np.ndarray, grid: Grid) -> np.ndarray:
-    """Project rho onto the range of the spectral divergence on real fields:
-    remove the spatial mean and, on even grids, the self-conjugate corner
-    modes annihilated by the gradient-wavenumber convention."""
-    rhok = _fft2(rho)
-    rows = [0] + ([grid.nx // 2] if grid.nx % 2 == 0 else [])
-    cols = [0] + ([grid.ny // 2] if grid.ny % 2 == 0 else [])
-    for i in rows:
-        for j in cols:
-            rhok[i, j] = 0.0
-    return _ifft2(rhok)
 
 
 def poisson_efield(rho: np.ndarray, grid: Grid) -> np.ndarray:
@@ -252,15 +244,25 @@ def poisson_efield(rho: np.ndarray, grid: Grid) -> np.ndarray:
     is neutralized by a uniform background), as are the unresolvable corner
     modes on even grids. Returns shape (3, nx, ny).
     """
-    kx, ky = grid.gradient_wavenumbers()
-    k2 = kx * kx + ky * ky
-    k2safe = np.where(k2 > 0, k2, 1.0)
-    rhok = _fft2(np.asarray(rho, dtype=float))
-    phik = np.where(k2 > 0, rhok / k2safe, 0.0)   # -lap phi = rho, E = -grad phi
+    kx, ky, _ = grid.k_table
+    # -lap phi = rho, E = -grad phi
+    phik = _inv_neg_lap(_fft2(np.asarray(rho, dtype=float)), grid)
     E = np.zeros((3, grid.nx, grid.ny))
     E[0] = _ifft2(-1j * kx * phik)
     E[1] = _ifft2(-1j * ky * phik)
     return E
+
+
+def gauss_correct(fields: FieldState, rho: np.ndarray) -> None:
+    """Replace the longitudinal part of (E1, E2) with ``poisson_efield(rho)``
+    in place, so div E = rho up to rounding; the transverse part, E3 and B
+    are kept."""
+    g = fields.grid
+    kx, ky, _ = g.k_table
+    par = _inv_neg_lap(kx * _fft2(fields.E[0]) + ky * _fft2(fields.E[1]), g)
+    el = poisson_efield(rho, g)
+    fields.E[0] += el[0] - _ifft2(kx * par)
+    fields.E[1] += el[1] - _ifft2(ky * par)
 
 
 def gauge_a3(fields: FieldState) -> np.ndarray:
@@ -272,12 +274,17 @@ def gauge_a3(fields: FieldState) -> np.ndarray:
     if fields.mode != "2.5d":
         raise ValueError("gauge potential A3 is only defined in 2.5d mode")
     g = fields.grid
-    kx, ky = g.gradient_wavenumbers()
-    k2 = kx * kx + ky * ky
-    k2safe = np.where(k2 > 0, k2, 1.0)
+    kx, ky, _ = g.k_table
     rhs = 1j * ky * _fft2(fields.B[0]) - 1j * kx * _fft2(fields.B[1])
-    a3k = np.where(k2 > 0, -rhs / k2safe, 0.0)
-    return _ifft2(a3k)
+    return _ifft2(_inv_neg_lap(-rhs, g))
+
+
+def curl_a3(a3: np.ndarray, grid: Grid) -> np.ndarray:
+    """The in-plane B = (d2 A3, -d1 A3) of the potential A3 (nx, ny), shape
+    (2, nx, ny); ``gauge_a3`` inverts it up to A3's mean."""
+    kx, ky, _ = grid.k_table
+    a3k = _fft2(a3)
+    return np.stack([_ifft2(1j * ky * a3k), -_ifft2(1j * kx * a3k)])
 
 
 def evolve_a3(a3: np.ndarray, e3_mid: np.ndarray, dt: float) -> np.ndarray:

@@ -77,8 +77,8 @@ class ParticleEnsemble:
     w:   (n,) strictly positive weights; sum(w) approximates the total mass
          of f (integral over x and p)
 
-    An ensemble is not modified after construction: the energies ``p0`` and
-    velocities ``phat`` are computed once, on first use.
+    An ensemble is not modified after construction: the energies ``p0`` are
+    computed once, on first use.
     """
 
     x: np.ndarray
@@ -114,10 +114,6 @@ class ParticleEnsemble:
     @cached_property
     def p0(self) -> np.ndarray:
         return p0_of(self.p)
-
-    @cached_property
-    def phat(self) -> np.ndarray:
-        return self.p / self.p0[:, None]
 
 
 def moment(ens: ParticleEnsemble, N: float) -> float:

@@ -298,10 +298,7 @@ def initial_fields(scn: Scenario, rho: np.ndarray) -> tuple[mx.FieldState, np.nd
     if a3_amp:
         sig = float(scn.fields0.get("a3_sigma", 1.0))
         a3 = a3_amp * np.exp(-r2 / (2.0 * sig * sig))
-        kx, ky = grid.gradient_wavenumbers()
-        a3k = np.fft.fft2(a3)
-        fields.B[0] = np.fft.ifft2(1j * ky * a3k).real
-        fields.B[1] = -np.fft.ifft2(1j * kx * a3k).real
+        fields.B[:2] = mx.curl_a3(a3, grid)
     e3_amp = float(scn.fields0.get("e3_amp", 0.0))
     if e3_amp:
         sig = float(scn.fields0.get("e3_sigma", 1.0))
@@ -431,13 +428,13 @@ def deposit_work(n: int) -> tuple:
 
 
 def deposit(ens: ParticleEnsemble, grid: mx.Grid,
-            work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+            work: tuple) -> tuple[np.ndarray, np.ndarray]:
     """CIC deposition of charge 4*pi*integral(f dp) and current
     4*pi*integral(phat f dp) onto the grid: (rho (nx, ny), j (3, nx, ny)).
 
     The stencil is built ``_BLOCK`` particles at a time into ``work`` (from
-    ``deposit_work``, or made here), and each grid sum is one ``bincount``
-    over all 4n stencil entries, node by node."""
+    ``deposit_work``), and each grid sum is one ``bincount`` over all 4n
+    stencil entries, node by node."""
     x = ens.x
     if len(ens) and (x.min() < 0 or x[:, 0].max() >= grid.lx
                      or x[:, 1].max() >= grid.ly):
@@ -446,7 +443,7 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid,
     rho = np.zeros(size)
     j = np.zeros((3, size))
     if len(ens):
-        idx, q, qc = work if work is not None else deposit_work(len(ens))
+        idx, q, qc = work
         scale = 4.0 * np.pi / grid.cell
         blocks = _blocks(len(ens))
         for s in blocks:
@@ -738,15 +735,7 @@ def run(scn: Scenario) -> RunResult:
         rho, j = deposit(ens, grid, work)
         fields = mx.step_maxwell(fields_half, j, 0.5 * scn.dt)
         if scn.gauss_correction:
-            kx, ky = grid.gradient_wavenumbers()
-            e1k = np.fft.fft2(fields.E[0])
-            e2k = np.fft.fft2(fields.E[1])
-            k2 = kx * kx + ky * ky
-            ks = np.where(k2 > 0, k2, 1.0)
-            par = np.where(k2 > 0, (kx * e1k + ky * e2k) / ks, 0.0)
-            el = mx.poisson_efield(rho, grid)
-            fields.E[0] += el[0] - np.fft.ifft2(kx * par).real
-            fields.E[1] += el[1] - np.fft.ifft2(ky * par).real
+            mx.gauss_correct(fields, rho)
         if a3 is not None:
             e3_mid = 0.5 * (fields_half.E[2] + fields.E[2])
             a3 = mx.evolve_a3(a3_half, e3_mid, 0.5 * scn.dt)

@@ -8,8 +8,11 @@ and in ``perfbench/`` (which names what it wraps in strings such as
 ``"RunHistory.save_npz"``), plus the ``ALLOW`` names. From a reached name the
 walk follows the references in every module-level definition of that name in
 ``src/vmlab``, so a reference from code that nothing reaches does not count.
-A public method of a class is walked only once both the class and the method
-name are reached; dunder and private methods ride with their class. A
+A public method of a class is walked only once the class is reached and
+the method name is reached as an attribute: a load ``x.name``, or a part
+after a dot in a perfbench string. A local variable or parameter that
+shares the method's name does not reach it. Dunder and private methods ride
+with their class. A
 method name that two classes define is not matched by name alone: a
 reference ``x.name`` reaches ``C.name`` only where the referring definition
 also names C (``C.name``, an annotation, a call of C), calls a function
@@ -38,6 +41,8 @@ ALLOW = {
     "load_ensemble": _ORACLE,
     "load_csv": _ORACLE,
 }
+# an ALLOW name is a root both as a name and as a method reference
+_ALLOW_REFS = set(ALLOW) | {"." + n for n in ALLOW}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -48,16 +53,21 @@ def _parse(path: Path) -> ast.Module:
 
 def _refs(node: ast.AST, strings: bool = False) -> set:
     """Identifiers that ``node`` refers to by name or attribute, and with
-    ``strings`` the parts of string constants that are dotted identifiers."""
+    ``strings`` the parts of string constants that are dotted identifiers.
+    An attribute load ``x.name``, and a string part after a dot, also give
+    ``.name``, the only reference that reaches a method."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
+            if isinstance(n.ctx, ast.Load):
+                out.add("." + n.attr)
         elif (strings and isinstance(n, ast.Constant)
               and isinstance(n.value, str) and _DOTTED.fullmatch(n.value)):
-            out.update(n.value.split("."))
+            head, *rest = n.value.split(".")
+            out.update([head, *rest], ("." + part for part in rest))
     return out
 
 
@@ -111,19 +121,22 @@ class _Resolver:
         names = refs | {owner}
         for f in refs & self.returns.keys():
             names |= self.returns[f]
-        return {(c, m) for m in refs & self.shared.keys()
+        attrs = {r[1:] for r in refs if r.startswith(".")}
+        return {(c, m) for m in attrs & self.shared.keys()
                 for c in self.shared[m] & names}
 
 
 def _units(path: Path) -> list:
     """(names that must all be reached, nodes, owning class or "") for each
     module-level definition in ``path``, with each public method of a class
-    split off as a definition of its own."""
+    split off as a definition of its own, which needs its class and the
+    attribute reference ``.method``."""
     out = []
     for stmt in _parse(path).body:
         if isinstance(stmt, ast.ClassDef):
             methods = _public_methods(stmt)
-            out += [({stmt.name, f.name}, [f], stmt.name) for f in methods]
+            out += [({stmt.name, "." + f.name}, [f], stmt.name)
+                    for f in methods]
             rest = [n for n in stmt.body if n not in methods]
             out.append(({stmt.name}, rest + stmt.decorator_list + stmt.bases,
                         stmt.name))
@@ -140,8 +153,8 @@ def _definitions() -> list:
     res, out = _Resolver(), []
     for path in SRC.glob("*.py"):
         for needs, nodes, owner in _units(path):
-            own = {(owner, m) for m in needs
-                   if owner in res.shared.get(m, ())}
+            own = {(owner, m[1:]) for m in needs
+                   if owner in res.shared.get(m[1:], ())}
             out.append((needs, own, set().union(*map(_refs, nodes)),
                         res.pairs(nodes, owner)))
     return out
@@ -213,7 +226,7 @@ def test_all_names_resolve_once(name):
 
 def test_every_export_is_routed():
     roots, pairs = _roots()
-    routed, _ = _routed(roots | set(ALLOW), pairs)
+    routed, _ = _routed(roots | _ALLOW_REFS, pairs)
     unrouted = {f"{m}.{n}" for n, m in _exports().items()
                 if n not in routed}
     assert sorted(unrouted) == []
@@ -222,22 +235,35 @@ def test_every_export_is_routed():
 def test_every_public_method_of_a_routed_class_is_routed():
     # a name that two classes define must be reached as this class's method
     roots, pairs = _roots()
-    routed, pairs = _routed(roots | set(ALLOW), pairs)
+    routed, pairs = _routed(roots | _ALLOW_REFS, pairs)
     shared = _shared()
     unrouted = {f"{cls}.{method}" for cls, method in _methods()
-                if cls in routed and (method not in routed or (
+                if cls in routed and ("." + method not in routed or (
                     method in shared and (cls, method) not in pairs))}
     assert sorted(unrouted) == []
 
 
 def test_allow_list_is_not_stale():
-    # an exception that is now routed, or names no export and no public
-    # method, must go
+    # an exception that is now routed (a method as an attribute), or names
+    # no export and no public method, must go
     routed, exports = _routed(*_roots())[0], _exports()
     methods = {method for _, method in _methods()}
     stale = {n for n in ALLOW
-             if n in routed or (n not in exports and n not in methods)}
+             if (n if n in exports else "." + n) in routed
+             or (n not in exports and n not in methods)}
     assert sorted(stale) == []
+
+
+def test_only_maxwell_transforms():
+    # the Fourier conventions (wavenumbers, k^2, the Nyquist rule) live in
+    # maxwell; a module that calls np.fft itself grows a second copy
+    found = [f"{path.stem} (line {n.lineno})"
+             for path in sorted(SRC.glob("*.py")) if path.stem != "maxwell"
+             for n in ast.walk(_parse(path))
+             if (isinstance(n, ast.Attribute) and n.attr == "fft")
+             or (isinstance(n, (ast.Import, ast.ImportFrom))
+                 and "fft" in ast.unparse(n))]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -41,6 +41,13 @@ def _band_limited_state(grid, mode, seed=0):
     return st_
 
 
+def _curl(grid, E):
+    """Spectral d1 E2 - d2 E1."""
+    kx, ky, _ = grid.k_table
+    return np.fft.ifft2(1j * (kx * np.fft.fft2(E[1])
+                              - ky * np.fft.fft2(E[0]))).real
+
+
 class TestGrid:
     def test_spacings(self):
         g = mx.Grid(10, 20, 5.0, 8.0)
@@ -50,11 +57,17 @@ class TestGrid:
 
     def test_gradient_wavenumbers_zero_nyquist(self):
         g = _grid(8)
-        kx, ky = g.gradient_wavenumbers()
+        kx, ky, k2 = g.k_table
         assert kx[4, 0] == 0.0
         assert ky[0, 4] == 0.0
         kxf, _ = g.wavenumbers()
         assert kxf[4, 0] != 0.0
+        # k2 vanishes on the mean and the self-conjugate corners only
+        assert sorted(zip(*np.nonzero(k2 == 0))) == [(0, 0), (0, 4), (4, 0),
+                                                     (4, 4)]
+        # one read-only table per grid
+        assert g.k_table is g.k_table
+        assert not any(a.flags.writeable for a in g.k_table)
 
 
 class TestFieldState:
@@ -135,8 +148,7 @@ class TestPropagator:
         g = _grid(32)
         st_ = _band_limited_state(g, "2.5d", seed=7)
         # project B onto divergence-free fields first
-        kx, ky = g.gradient_wavenumbers()
-        k2 = kx * kx + ky * ky
+        kx, ky, k2 = g.k_table
         ks = np.where(k2 > 0, k2, 1.0)
         b1k, b2k = np.fft.fft2(st_.B[0]), np.fft.fft2(st_.B[1])
         par = np.where(k2 > 0, (kx * b1k + ky * b2k) / ks, 0.0)
@@ -149,6 +161,31 @@ class TestPropagator:
         _, res = mx.constraint_residual(cur, np.zeros((g.nx, g.ny)))
         assert res0 < 1e-12
         assert res < 1e-12
+
+    def test_te_step_ignores_zero_tm_fields(self):
+        # with B1 = B2 = E3 = j3 = 0 the 2.5d step is the 2d step, bit for bit
+        g = _grid(32)
+        te = _band_limited_state(g, "2d", seed=8)
+        j = np.random.default_rng(8).standard_normal((3, g.nx, g.ny))
+        j[2] = 0.0
+        planar = mx.step_maxwell(te, j, 0.1)
+        full = mx.step_maxwell(
+            mx.FieldState(mode="2.5d", grid=g, E=te.E, B=te.B), j, 0.1)
+        assert np.array_equal(full.E, planar.E)
+        assert np.array_equal(full.B, planar.B)
+
+    def test_tm_step_leaves_te_fields_zero(self):
+        # (B1, B2, E3) driven by j3 never feed (E1, E2, B3)
+        g = _grid(32)
+        rng = np.random.default_rng(9)
+        st_ = _band_limited_state(g, "2.5d", seed=9)
+        st_.E[:2] = 0.0
+        st_.B[2] = 0.0
+        j = np.zeros((3, g.nx, g.ny))
+        j[2] = rng.standard_normal((g.nx, g.ny))
+        out = mx.step_maxwell(st_, j, 0.1)
+        assert not np.any(out.E[:2]) and not np.any(out.B[2])
+        assert np.abs(out.E[2] - st_.E[2]).max() > 1e-3
 
 
 class TestConstraints:
@@ -167,10 +204,24 @@ class TestConstraints:
         g = _grid(32)
         rng = np.random.default_rng(3)
         E = mx.poisson_efield(rng.standard_normal((g.nx, g.ny)), g)
-        kx, ky = g.gradient_wavenumbers()
-        curl = np.fft.ifft2(1j * (kx * np.fft.fft2(E[1])
-                                  - ky * np.fft.fft2(E[0]))).real
-        assert np.abs(curl).max() < 1e-12
+        assert np.abs(_curl(g, E)).max() < 1e-12
+
+    def test_gauss_correct(self):
+        # the longitudinal (E1, E2) becomes the Poisson field of rho; the
+        # curl of (E1, E2), E3 and B are kept
+        g = _grid(32)
+        rng = np.random.default_rng(5)
+        st_ = mx.FieldState(mode="2.5d", grid=g,
+                            E=rng.standard_normal((3, g.nx, g.ny)),
+                            B=rng.standard_normal((3, g.nx, g.ny)))
+        rho = rng.standard_normal((g.nx, g.ny))
+        E0, B0 = st_.E.copy(), st_.B.copy()
+        assert mx.constraint_residual(st_, rho)[0] > 1.0
+        mx.gauss_correct(st_, rho)
+        assert mx.constraint_residual(st_, rho)[0] < 1e-12
+        assert np.abs(_curl(g, st_.E) - _curl(g, E0)).max() < 1e-12
+        assert np.array_equal(st_.E[2], E0[2])
+        assert np.array_equal(st_.B, B0)
 
     def test_net_charge_neutralized(self):
         # adding a constant to rho does not change the residual
@@ -189,12 +240,13 @@ class TestGauge:
         x, y = g.mesh()
         a3 = (np.cos(2 * np.pi * x / g.lx) * np.sin(4 * np.pi * y / g.ly)
               + 0.3 * np.sin(6 * np.pi * (x + y) / g.lx))
-        kx, ky = g.gradient_wavenumbers()
+        kx, ky, _ = g.k_table
         a3k = np.fft.fft2(a3)
         st_ = mx.FieldState.zeros("2.5d", g)
         st_.B[0] = np.fft.ifft2(1j * ky * a3k).real
         st_.B[1] = -np.fft.ifft2(1j * kx * a3k).real
         assert np.abs(mx.gauge_a3(st_) - (a3 - a3.mean())).max() < 1e-10
+        assert np.array_equal(mx.curl_a3(a3, g), st_.B[:2])
 
     def test_rejected_in_planar_mode(self):
         st_ = mx.FieldState.zeros("2d", _grid(8))

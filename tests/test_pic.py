@@ -186,7 +186,7 @@ class TestDeposit:
     def test_charge_is_conserved_exactly(self):
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
         ens = pic.sample_ensemble(scn)
-        rho, j = pic.deposit(ens, scn.grid)
+        rho, j = pic.deposit(ens, scn.grid, pic.deposit_work(len(ens)))
         total = np.sum(rho) * scn.grid.cell
         assert total == pytest.approx(4.0 * np.pi * np.sum(ens.w), rel=1e-12)
 
@@ -195,7 +195,7 @@ class TestDeposit:
         # |integral j| <= integral rho since |phat| < 1
         scn = pic.scenario_from_dict(small_cfg(), path="inline")
         ens = pic.sample_ensemble(scn)
-        rho, j = pic.deposit(ens, scn.grid)
+        rho, j = pic.deposit(ens, scn.grid, pic.deposit_work(len(ens)))
         jt = np.abs(np.sum(j, axis=(1, 2))) * scn.grid.cell
         assert np.all(jt <= np.sum(rho) * scn.grid.cell + 1e-12)
 
@@ -205,7 +205,7 @@ class TestDeposit:
                                p=np.zeros((1, 2)), w=np.ones(1),
                                box=[4.0, 4.0])
         with pytest.raises(ValueError):
-            pic.deposit(ens, g)
+            pic.deposit(ens, g, pic.deposit_work(len(ens)))
 
     def test_deposit_is_adjoint_of_gather(self):
         # one stencil serves both: sum(rho * arr) * cell = 4 pi sum(w * arr(x)),
@@ -217,13 +217,13 @@ class TestDeposit:
                                p=rng.standard_normal((n, 3)),
                                w=rng.random(n) + 0.1, box=[8.0, 6.0])
         arr = rng.standard_normal((g.nx, g.ny))
-        rho, j = pic.deposit(ens, g)
+        rho, j = pic.deposit(ens, g, pic.deposit_work(len(ens)))
         at_x = 4.0 * np.pi * pic.gather_cic(g, arr, ens.x)
         assert np.sum(rho * arr) * g.cell == pytest.approx(
             np.sum(ens.w * at_x), rel=1e-12)
         for c in range(3):
             assert np.sum(j[c] * arr) * g.cell == pytest.approx(
-                np.sum(ens.w * ens.phat[:, c] * at_x), rel=1e-12)
+                np.sum(ens.w * (ens.p[:, c] / ens.p0) * at_x), rel=1e-12)
 
     def test_wrap_box_stays_below_box(self):
         # -1e-17 % 20.0 rounds up to exactly 20.0, outside [0, box)
