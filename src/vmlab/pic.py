@@ -200,7 +200,7 @@ class Scenario:
         return out
 
 
-def scenario_from_dict(cfg: dict, path: str = "<dict>") -> Scenario:
+def scenario_from_dict(cfg: dict, path: str) -> Scenario:
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: scenario must be a JSON object")
     is_required = {f.name: f.default is MISSING for f in fields(Scenario)}
@@ -473,7 +473,7 @@ def gather_tsc(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _gather(arr, idx, w)[0]
 
 
-def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None = None):
+def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None):
     """Field sampler x -> (E, B) for the particle push, frozen over the step,
     returning only the components the push reads.
 
@@ -481,6 +481,7 @@ def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None = None):
     3-momentum mode gathers E (n, 3) and B3 with the quadratic spline and
     reconstructs the in-plane B = (d2 A3, -d1 A3) from the exact gradient of
     the interpolated gauge potential ``a3`` (nx, ny), all on one stencil.
+    Planar mode does not read ``a3``; its callers pass None.
     """
     grid = fields.grid
     if fields.mode == "2d":

@@ -133,7 +133,7 @@ def gauss_rule(n: int, a: float, b: float):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def box_inverse(F, t: float, x, n_s: int = 64, n_phi: int = 32) -> float:
+def box_inverse(F, t: float, x, n_s: int, n_phi: int) -> float:
     """Backward-cone integral of F with the retarded kernel:
 
         integral over 0 < s < t, |y - x| <= t - s of
@@ -218,7 +218,9 @@ def _cone_slabs(times, t: float):
 
 
 class _ConeRows(NamedTuple):
-    """The rows of one stored step inside a slab of a probe's backward cone."""
+    """The rows of one stored step inside a slab of the backward cones of a
+    probe stack, in probe order: the segment of each probe holds its rows
+    ascending (see ``_cone_rows`` for the segments' bounds)."""
 
     idx: np.ndarray     # (h,) row indices into the step's particle arrays
     d: np.ndarray       # (h, 2) minimum-image offsets y - x
@@ -235,50 +237,71 @@ def _strip_index(X: np.ndarray):
     return order, X[order, 0]
 
 
-def _strip_rows(strip, c: float, half: float, lx: float) -> np.ndarray:
-    """Ascending rows of the ``_strip_index`` ``strip`` whose x1 lies within
-    ``half`` of c under the period lx, and more: the strip is widened by 1e-9
-    of the magnitudes involved, far above the rounding of the minimum image,
-    so every row inside the cone is found. The strip's images
-    [c - h, c + h] + m lx that meet the sorted x1 are found by bisection.
-    Every row is taken when the strip is as wide as the box, or when x1 is
-    not finite or spans more than the box (a history from ``pic.run`` lies
-    in [0, lx), which needs at most four images)."""
+def _strip_rows(strip, c: np.ndarray, half: float, lx: float):
+    """Rows of the ``_strip_index`` ``strip`` whose x1 lies within ``half``
+    of a probe's x1 in c (m,) under the period lx, and more: the strip is
+    widened by 1e-9 of the magnitudes involved, far above the rounding of
+    the minimum image, so every row inside the cone is found. The strip's
+    images [c - h, c + h] + k lx that meet the sorted x1 are found by
+    bisection. A probe takes every row when its strip is as wide as the box,
+    or when x1 is not finite or spans more than the box (a history from
+    ``pic.run`` lies in [0, lx), which needs at most four images).
+
+    Returns the rows of all probes in probe order, each probe's rows in
+    the strip's x1 order, and the probe of each row."""
     order, xs = strip
-    if xs.size:
-        h = half + 1e-9 * (half + lx + abs(c) + max(-xs[0], xs[-1]))
-        m_lo = np.floor((xs[0] - c - h) / lx)
-        m_hi = np.ceil((xs[-1] - c + h) / lx)
-        if 2.0 * h < lx and m_hi - m_lo <= 3.0:
-            m = np.arange(m_lo, m_hi + 1.0) * lx
-            lo = np.searchsorted(xs, c - h + m, side="left")
-            hi = np.searchsorted(xs, c + h + m, side="right")
-            return np.sort(np.concatenate(
-                [order[a:b] for a, b in zip(lo, hi)]))
-    return np.arange(xs.size)
+    n = xs.size
+    if not n:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    h = half + 1e-9 * (half + lx + np.abs(c) + max(-xs[0], xs[-1]))
+    m_lo = np.floor((xs[0] - c - h) / lx)
+    m_hi = np.ceil((xs[-1] - c + h) / lx)
+    narrow = (2.0 * h < lx) & (m_hi - m_lo <= 3.0)
+    img = m_lo[:, None] + np.arange(4.0)                # (m, 4) images
+    lo = np.searchsorted(xs, (c - h)[:, None] + img * lx, side="left")
+    hi = np.searchsorted(xs, (c + h)[:, None] + img * lx, side="right")
+    hi = np.where(narrow[:, None] & (img <= m_hi[:, None]), hi, lo)
+    lo[~narrow, 0], hi[~narrow, 0] = 0, n
+    lens = (hi - lo).ravel()
+    start = lo.ravel() - (np.cumsum(lens) - lens)
+    pos = np.arange(lens.sum()) + np.repeat(start, lens)
+    return order[pos], np.repeat(np.repeat(np.arange(len(c)), 4), lens)
 
 
-def _cone_rows(X, strip, t: float, probe, box, tau_lo: float,
-               tau_hi: float) -> _ConeRows:
-    """Rows of positions X (n, 2) inside the cone of the probe (t, x) over
-    the slab tau in [tau_lo, tau_hi]: those with r < tau_hi, where both slab
-    weights are positive (beyond it both are 0). Only the rows of X's
-    ``_strip_index`` ``strip`` within tau_hi of the probe in x1 are measured;
-    every per-row step is elementwise, so the rows, their order and their
-    bits are those of a scan of all of X. Every later per-particle step
-    works on these rows only.
+def _cone_rows(X, strip, t: float, probes, box, tau_lo: float,
+               tau_hi: float):
+    """Rows of positions X (n, 2) inside the cones of the probe stack
+    (t, probes (m, 2)) over the slab tau in [tau_lo, tau_hi]: those with
+    r < tau_hi, where both slab weights are positive (beyond it both are 0).
+    Returns the ``_ConeRows`` of all probes and their bounds (m + 1,): the
+    rows of probe i are ``bounds[i]:bounds[i + 1]``.
 
-    A particle within 1e-12 of the probe in the newest slab (tau_lo = 0) is
-    rejected: the point-particle T integral diverges like 1/r there.
+    Only the rows of X's ``_strip_index`` ``strip`` within tau_hi of a probe
+    in x1 are taken, and of those only the rows with |d2| < tau_hi, d2 the
+    minimum image in x2: r = sqrt(fl(d1^2 + fl(d2^2))) >= |d2| in binary64,
+    so no cone row is lost. Every per-row step is elementwise, so each
+    probe's rows, their order and their bits are those of a scan of all of
+    X for that probe alone. Every later per-particle step works on these
+    rows only.
+
+    A particle within 1e-12 of a probe in the newest slab (tau_lo = 0) is
+    rejected, naming the first such probe of the stack: the point-particle
+    T integral diverges like 1/r there.
     """
-    rows = _strip_rows(strip, probe[0], tau_hi, box[0])
-    d = _min_image(X[rows] - probe[None, :], box)
+    rows, owner = _strip_rows(strip, probes[:, 0], tau_hi, box[0])
+    d2 = _min_image(X[rows, 1] - probes[owner, 1], box[1])
+    near = np.abs(d2) < tau_hi
+    # rows ascending within each probe, whose keys lie in [owner n, owner n + n)
+    n = len(X)
+    owner = owner[near]
+    rows = np.sort(rows[near] + owner * n) - owner * n
+    d = _min_image(X[rows] - probes[owner], box)
     r = np.sqrt(np.sum(d * d, axis=1))
     inside = r < tau_hi
-    idx = rows[inside]
-    d = d[inside]
-    r = r[inside]
-    if tau_lo <= 0.0 and np.any(r < 1e-12):
+    idx, owner, d, r = rows[inside], owner[inside], d[inside], r[inside]
+    on = r < 1e-12
+    if tau_lo <= 0.0 and np.any(on):
+        probe = probes[owner[np.argmax(on)]]
         raise ValueError(f"probe t={t} x={probe.tolist()} sits on a particle; "
                          "its cone integral diverges there")
     w1, w2 = slab_weights(r, tau_lo, tau_hi)
@@ -288,35 +311,47 @@ def _cone_rows(X, strip, t: float, probe, box, tau_lo: float,
     over = nrm > 1.0
     if np.any(over):
         xi[over] /= nrm[over, None]
-    return _ConeRows(idx, d, r, w1, w2, xi)
+    bounds = np.searchsorted(owner, np.arange(len(probes) + 1))
+    return _ConeRows(idx, d, r, w1, w2, xi), bounds
 
 
-def _slab_sums(mode: str, c: _ConeRows, P, wp, eb) -> np.ndarray:
-    """The cone sums of one slab's rows ``c`` as one array: E_T, B_T, E_S
-    and B_S (3 components each), then the majorants ks1 and ks2. P, wp and
-    the gathered fields ``eb`` = (E, B) hold those rows only; with ``eb``
-    None (the force-free flow) only the T sums are taken. A planar history
-    is the p3 = 0 case of the same sums."""
-    out = np.zeros(14)
+def _slab_sums(mode: str, c: _ConeRows, bounds, P, wp, eb) -> np.ndarray:
+    """The cone sums of one slab's rows ``c`` as one (m, 14) array, a row
+    per probe segment ``bounds[i]:bounds[i + 1]``: E_T, B_T, E_S and B_S
+    (3 components each), then the majorants ks1 and ks2. P, wp and the
+    gathered fields ``eb`` = (E, B) hold those rows only; with ``eb`` None
+    (the force-free flow) only the T sums are taken. A planar history is
+    the p3 = 0 case of the same sums.
+
+    Each per-row term is made once for the stack, and each probe's sum is
+    ``np.sum`` over its own segment: the reduction a probe alone would take.
+    """
     p3 = embed3(P)
     eT, bT, deS, dbS = kernel_arrays_25d(p3, c.xi)
-    out[0:3] = np.sum((wp * c.w1)[:, None] * eT, axis=0)
-    out[3:6] = np.sum((wp * c.w1)[:, None] * bT, axis=0)
-    if eb is None:
-        return out
-    E, B = eb
-    p0 = p0_of(p3)
-    force = E + np.cross(p3 / p0[:, None], B)
-    kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r), mode))
-    ww = wp * c.w2
-    out[6:9] = np.sum(ww[:, None] * np.einsum("nij,nj->ni", deS, force), axis=0)
-    out[9:12] = np.sum(ww[:, None] * np.einsum("nij,nj->ni", dbS, force), axis=0)
-    kappa = (p3[:, 0] * c.xi[:, 0] + p3[:, 1] * c.xi[:, 1]) / p0
-    bp3 = 1.0 + p3[:, 2] ** 2
-    wk = ww * np.sqrt(np.sum(force ** 2, axis=1))
-    out[12] = np.sum(wk / p0 if mode == "2d" else
-                     wk * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa))))
-    out[13] = np.sum(ww * kg * bp3 / ((1.0 + kappa) * p0))
+    wt = (wp * c.w1)[:, None]
+    terms = [(slice(0, 3), wt * eT), (slice(3, 6), wt * bT)]
+    if eb is not None:
+        E, B = eb
+        p0 = p0_of(p3)
+        force = E + np.cross(p3 / p0[:, None], B)
+        kg = np.sqrt(mx.good_component_sq(E, B, unit_direction(c.d, c.r),
+                                          mode))
+        ww = wp * c.w2
+        kappa = (p3[:, 0] * c.xi[:, 0] + p3[:, 1] * c.xi[:, 1]) / p0
+        bp3 = 1.0 + p3[:, 2] ** 2
+        wk = ww * np.sqrt(np.sum(force ** 2, axis=1))
+        terms += [
+            (slice(6, 9), ww[:, None] * np.einsum("nij,nj->ni", deS, force)),
+            (slice(9, 12), ww[:, None] * np.einsum("nij,nj->ni", dbS, force)),
+            (12, wk / p0 if mode == "2d" else
+             wk * (1.0 / p0 + bp3 / (p0 ** 3 * (1.0 + kappa)))),
+            (13, ww * kg * bp3 / ((1.0 + kappa) * p0)),
+        ]
+    out = np.zeros((len(bounds) - 1, 14))
+    for row, a, b in zip(out, bounds[:-1], bounds[1:]):
+        if a < b:
+            for cols, term in terms:
+                row[cols] = np.sum(term[a:b], axis=0)
     return out
 
 
@@ -413,9 +448,12 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     the particle-discretization error cancelling between the two T sums.
 
     ``x`` is a stack (m, 2) of probes at the same t, which gives a list of m
-    reports; the force-free flow and its grid re-run are built once for the
-    stack. Raises ``ValueError`` when a probe sits on a particle (see
-    ``_cone_rows``).
+    reports. The force-free flow and its grid re-run are built once for the
+    stack, and the slabs are walked once: at each stored step and for each
+    flow, the cone rows of all probes are found together (an x1 strip, then
+    the x2 cut of ``_cone_rows``), gathered and put through the kernels once,
+    and then summed per probe. Raises ``ValueError`` when a probe sits on a
+    particle (see ``_cone_rows``).
     """
     probes = np.asarray(x, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2:
@@ -424,38 +462,29 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     box = np.array([history.grid.lx, history.grid.ly])
     free_x = _free_positions(history, k, box)
     g_fields = _free_field_rerun(history, k, free_x)
+    grid, w = history.grid, history.w
+    sums = np.zeros((len(probes), 14))
+    free_sums = np.zeros((len(probes), 14))
     # the cone ends at the stored time the probe t was matched to
-    slabs = _cone_slabs(history.times, float(history.times[k]))
-    strips = {j: (_strip_index(history.part_x[j]), _strip_index(free_x[j]))
-              for j, _, _ in slabs}
-    return [_probe_report(history, t, probe, box, slabs, strips, free_x,
-                          g_fields)
-            for probe in probes]
-
-
-def _probe_report(history, t, probe, box, slabs, strips, free_x, g_fields):
-    """One probe of ``field_from_representation``: the cone sums of the
-    interacting and the force-free flow over the slabs, on cone rows only.
-    ``strips`` holds the ``_strip_index`` of both flows at each slab's step."""
-    w = history.w
-    sums = np.zeros(14)
-    free_sums = np.zeros(14)
-    for j, tau_lo, tau_hi in slabs:
+    for j, tau_lo, tau_hi in _cone_slabs(history.times,
+                                         float(history.times[k])):
         X = history.part_x[j]
-        strip, free_strip = strips[j]
-        c = _cone_rows(X, strip, t, probe, box, tau_lo, tau_hi)
+        c, bounds = _cone_rows(X, _strip_index(X), t, probes, box, tau_lo,
+                               tau_hi)
         if c.idx.size:
-            eb = _gather_eb(history.grid, history.E[j], history.B[j], X[c.idx])
-            sums += _slab_sums(history.mode, c, history.part_p[j][c.idx],
-                               w[c.idx], eb)
-        c = _cone_rows(free_x[j], free_strip, t, probe, box, tau_lo, tau_hi)
+            eb = _gather_eb(grid, history.E[j], history.B[j], X[c.idx])
+            sums += _slab_sums(history.mode, c, bounds,
+                               history.part_p[j][c.idx], w[c.idx], eb)
+        c, bounds = _cone_rows(free_x[j], _strip_index(free_x[j]), t, probes,
+                               box, tau_lo, tau_hi)
         if c.idx.size:
-            free_sums += _slab_sums(history.mode, c, history.part_p[0][c.idx],
-                                    w[c.idx], None)
+            free_sums += _slab_sums(history.mode, c, bounds,
+                                    history.part_p[0][c.idx], w[c.idx], None)
 
-    g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B,
-                          probe.reshape(1, 2))
+    g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B, probes)
+    data_E = g_E - free_sums[:, 0:3]
+    data_B = g_B - free_sums[:, 3:6]
     # the slab sums are laid out in the report's field order from E_T on
-    return RepresentationReport(t, probe, g_E[0] - free_sums[0:3],
-                                g_B[0] - free_sums[3:6],
-                                *sums[:12].reshape(4, 3), *sums[12:])
+    return [RepresentationReport(t, probe, data_E[i], data_B[i],
+                                 *sums[i, :12].reshape(4, 3), *sums[i, 12:])
+            for i, probe in enumerate(probes)]

@@ -502,7 +502,7 @@ def _simulate_mutated(path, key, value):
     else:
         cfg[key] = value
     try:
-        if pic.scenario_from_dict(cfg).n_steps > _MAX_STEPS:
+        if pic.scenario_from_dict(cfg, path="inline").n_steps > _MAX_STEPS:
             return None
     except ValueError:
         pass

@@ -1,6 +1,7 @@
 """Module exports: every name in a module's ``__all__`` exists there, is
 listed once, and earns a route; no module imports a name it never uses;
-every defaulted parameter is set by some call outside the unit tests.
+every defaulted parameter is set by some call outside the unit tests, and
+none is set by every such call.
 
 A route is a chain of references that reaches the name from a root. The
 roots are the names referenced in ``cli.py``, in ``tests/test_acceptance.py``
@@ -282,13 +283,14 @@ def test_no_unused_module_import(name):
                   if b not in used) == []
 
 
-def _call_sites() -> tuple:
-    """Called name -> (most positional arguments, keyword names) over every
-    call in ``src/vmlab``, ``perfbench`` and ``tests/test_acceptance.py``,
-    the code the routing roots come from; a value only unit tests pass is
-    no caller's. A ``*args`` or ``**kwargs`` pass-through names no
-    parameter."""
-    npos, keywords = defaultdict(int), defaultdict(set)
+def _call_sites() -> dict:
+    """Called name -> one (positional arguments, keyword names, pass-through)
+    triple per call in ``src/vmlab``, ``perfbench`` and
+    ``tests/test_acceptance.py``, the code the routing roots come from; a
+    value only unit tests pass is no caller's. Positional arguments are
+    counted up to the first ``*args``; a call with ``*args`` or ``**kwargs``
+    is a pass-through, which may set any parameter but names none."""
+    calls = defaultdict(list)
     paths = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
              *(ROOT / "perfbench").glob("*.py")]
     for path in paths:
@@ -301,15 +303,19 @@ def _call_sites() -> tuple:
                 if isinstance(arg, ast.Starred):
                     break
                 pos += 1
-            npos[name] = max(npos[name], pos)
-            keywords[name] |= {k.arg for k in n.keywords if k.arg}
-    return npos, keywords
+            through = pos < len(n.args) or any(k.arg is None
+                                               for k in n.keywords)
+            calls[name].append((pos, {k.arg for k in n.keywords if k.arg},
+                                through))
+    return calls
 
 
-def test_every_default_is_set_by_a_call():
-    # a parameter that no call sets is a constant, and belongs in the body
-    npos, keywords = _call_sites()
-    unset = []
+def _defaults() -> list:
+    """(qualified parameter, whether each call of its function's name names
+    it, whether each call names it or passes through) of every defaulted
+    parameter of a function in ``src/vmlab``."""
+    calls = _call_sites()
+    out = []
     for path in SRC.glob("*.py"):
         tree = _parse(path)
         methods = {id(f) for c in ast.walk(tree)
@@ -326,6 +332,21 @@ def test_every_default_is_set_by_a_call():
             defaulted = list(enumerate(params))[len(params) - len(a.defaults):]
             defaulted += [(math.inf, p.arg) for p, d
                           in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            unset += [f"{path.stem}.{f.name}({arg})" for i, arg in defaulted
-                      if arg not in keywords[f.name] and npos[f.name] <= i]
-    assert sorted(unset) == []
+            for i, arg in defaulted:
+                names = [pos > i or arg in kws for pos, kws, _ in calls[f.name]]
+                out.append((f"{path.stem}.{f.name}({arg})", names,
+                            [s or t for s, (_, _, t)
+                             in zip(names, calls[f.name])]))
+    return out
+
+
+def test_every_default_is_set_by_a_call():
+    # a parameter that no call sets is a constant, and belongs in the body
+    assert sorted(p for p, names, _ in _defaults() if not any(names)) == []
+
+
+def test_no_default_is_set_by_every_call():
+    # a default that every call overrides is never used: the parameter is
+    # required (a pass-through call counts as setting it)
+    assert sorted(p for p, _, sets in _defaults()
+                  if sets and all(sets)) == []

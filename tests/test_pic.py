@@ -330,7 +330,7 @@ class TestFieldSampler:
 
     def test_2d_returns_live_components(self):
         fields, x = self._fields("2d")
-        E, B = pic.make_field_sampler(fields)(x)
+        E, B = pic.make_field_sampler(fields, None)(x)
         assert E.shape == (50, 2) and B.shape == (50,)
         g = fields.grid
         assert np.array_equal(E[:, 0], pic.gather_cic(g, fields.E[0], x))
@@ -351,7 +351,7 @@ class TestFieldSampler:
     def test_25d_requires_a3(self):
         fields, _ = self._fields("2.5d")
         with pytest.raises(ValueError, match="A3"):
-            pic.make_field_sampler(fields)
+            pic.make_field_sampler(fields, None)
 
 
 class TestRun:

@@ -228,7 +228,7 @@ class TestBoxInverse:
         f = lambda s, pts: np.ones(len(pts))  # noqa: E731
         for _ in range(2):
             ineq._mapped_nodes(800)
-            rt.box_inverse(f, 1.0, (0.0, 0.0))
+            rt.box_inverse(f, 1.0, (0.0, 0.0), n_s=64, n_phi=32)
         assert calls == [800, 64, 32]
         x, w = rt._legendre(800)
         assert not (x.flags.writeable or w.flags.writeable)
@@ -295,21 +295,22 @@ def _scan_cone_rows(X, probe, box, tau_lo, tau_hi):
 
 @st.composite
 def _cone_cases(draw):
-    """(X, probe, box, tau_lo, tau_hi): rows at the walls, at the cone's
+    """(X, probes, box, tau_lo, tau_hi): rows at the walls, at the cone's
     edge in x1, anywhere in the box and a few outside it (as a hand-made
-    history may hold), probes at and near the walls and outside the box,
-    and cones from a sliver up to wider than the box."""
+    history may hold), a stack of 1-5 probes at and near the walls and
+    outside the box, repeats and probes with empty cones among them, and
+    cones from a sliver up to wider than the box."""
     lx, ly = draw(st.sampled_from([20.0, 7.3, 1.0])), 20.0
     top = np.nextafter(lx, 0.0)
-    c = draw(st.one_of(st.sampled_from([0.0, 1e-3 * lx, top, lx - 1e-3]),
-                       st.floats(0.0, lx, exclude_max=True),
-                       st.floats(-lx, 2.0 * lx)))
-    y = draw(st.floats(0.0, ly, exclude_max=True))
+    probe_x1 = st.one_of(st.sampled_from([0.0, 1e-3 * lx, top, lx - 1e-3]),
+                         st.floats(0.0, lx, exclude_max=True),
+                         st.floats(-lx, 2.0 * lx))
+    c, y = draw(probe_x1), draw(st.floats(0.0, ly, exclude_max=True))
     tau_hi = draw(st.one_of(
         st.floats(1e-3, 12.0),
         st.sampled_from([lx / 2, np.nextafter(lx / 2, 0.0), 0.5001 * lx])))
     tau_lo = draw(st.sampled_from([0.0, 0.25, 0.999])) * tau_hi
-    # x1 exactly at tau_hi from the probe (before and after the wrap)
+    # x1 exactly at tau_hi from the first probe (before and after the wrap)
     edge = [e for s in (-1.0, 1.0) for e in (c + s * tau_hi,
                                              c + s * tau_hi + lx,
                                              c + s * tau_hi - lx)
@@ -317,37 +318,74 @@ def _cone_cases(draw):
     x1 = st.one_of(st.sampled_from([0.0, top, *edge]),
                    st.floats(0.0, lx, exclude_max=True),
                    st.sampled_from([-1e-17, lx, -0.3 * lx, 1.7 * lx]))
-    x2 = st.one_of(st.just(y), st.floats(0.0, ly, exclude_max=True))
+    # x2 on the first probe's line, at tau_hi from it, or anywhere
+    x2 = st.one_of(st.sampled_from([y, (y + tau_hi) % ly, (y - tau_hi) % ly]),
+                   st.floats(0.0, ly, exclude_max=True))
     rows = draw(st.lists(st.tuples(x1, x2), max_size=30))
     X = np.array(rows, dtype=float).reshape(-1, 2)
-    return X, np.array([c, y]), np.array([lx, ly]), tau_lo, tau_hi
+    probes = [(c, y)] + draw(st.lists(st.one_of(
+        st.just((c, y)),                                 # a repeat
+        st.tuples(probe_x1, st.floats(0.0, ly, exclude_max=True))),
+        max_size=4))
+    return X, np.array(probes), np.array([lx, ly]), tau_lo, tau_hi
+
+
+def _assert_segments_are_scans(X, probes, box, tau_lo, tau_hi):
+    """``_cone_rows`` of the stack against ``_scan_cone_rows`` of each probe
+    alone: equal segments in every field, or the error naming the first
+    probe that sits on a particle."""
+    want = [_scan_cone_rows(X, probe, box, tau_lo, tau_hi) for probe in probes]
+    strip = rt._strip_index(X)
+    if any(w is None for w in want):
+        first = probes[[w is None for w in want].index(True)]
+        with pytest.raises(ValueError, match="sits on a particle") as err:
+            rt._cone_rows(X, strip, 0.8, probes, box, tau_lo, tau_hi)
+        assert f"x={first.tolist()}" in str(err.value)
+        return
+    got, bounds = rt._cone_rows(X, strip, 0.8, probes, box, tau_lo, tau_hi)
+    assert bounds.tolist() == np.cumsum([0] + [w.idx.size for w in want]).tolist()
+    for i, one in enumerate(want):
+        for key, a, b in zip(one._fields, got, one):
+            seg = a[bounds[i]:bounds[i + 1]]
+            assert seg.dtype == b.dtype and np.array_equal(seg, b), (i, key)
+
+
+_BOX = np.array([20.0, 20.0])
+# a probe on the x2 wall, and the largest double below its cone's tau_hi
+_WALL = np.array([[0.25, 0.0]])
+_R = np.nextafter(0.75, 0.0)
 
 
 class TestConeRows:
     @given(_cone_cases())
-    @example((np.array([[19.5, 3.0]]), np.array([0.2, 3.0]),
-              np.array([20.0, 20.0]), 0.0, 0.8))          # one row, wrapped
-    @example((np.array([[10.0, 3.0], [0.0, 3.0]]), np.array([5.0, 3.0]),
-              np.array([20.0, 20.0]), 0.1, 0.8))          # empty strip
+    @example((np.array([[19.5, 3.0]]), np.array([[0.2, 3.0]]), _BOX,
+              0.0, 0.8))                                    # one row, wrapped
+    @example((np.array([[10.0, 3.0], [0.0, 3.0]]), np.array([[5.0, 3.0]]),
+              _BOX, 0.1, 0.8))                              # empty strip
     @example((np.array([[0.0, 1.0], [np.nextafter(20.0, 0.0), 1.0]]),
-              np.array([10.0, 1.0]), np.array([20.0, 20.0]), 0.0, 10.0))
-    @example((np.array([[0.0, 1.0], [9.9, 12.0]]), np.array([np.nextafter(
-              20.0, 0.0), 1.0]), np.array([20.0, 20.0]), 0.5, 11.0))
+              np.array([[10.0, 1.0]]), _BOX, 0.0, 10.0))
+    @example((np.array([[0.0, 1.0], [9.9, 12.0]]), np.array([[np.nextafter(
+              20.0, 0.0), 1.0]]), _BOX, 0.5, 11.0))
     @example((np.array([[1.1904166595843224, 5.0]]),
-              np.array([19.13851296910221, 5.0]), np.array([20.0, 20.0]),
+              np.array([[19.13851296910221, 5.0]]), _BOX,
               0.5, 2.051903690482115))   # in the cone, 1 ulp past c + tau - lx
+    # |d2| exactly tau_hi, before and after the x2 wrap: outside the cone
+    @example((np.array([[0.25, 0.75], [0.25, 19.25], [0.25 + 1e-9, 0.75]]),
+              _WALL, _BOX, 0.0, 0.75))
+    # across the x2 wall: d2 = -0.5 and -0.1 inside, -1.0 outside
+    @example((np.array([[0.25, 19.5], [0.5, 19.9], [0.25, 19.0]]),
+              _WALL, _BOX, 0.0, 0.75))
+    # r 1 ulp below tau_hi with |d2| = r, and with d1 lost to rounding in r
+    @example((np.array([[0.25, _R], [0.25 + 1e-9, _R], [0.3, _R]]),
+              _WALL, _BOX, 0.25, 0.75))
+    # a stack with a repeat, an empty cone and a probe across the x1 wall
+    @example((np.array([[19.5, 3.0], [0.5, 3.5], [10.0, 10.0]]),
+              np.array([[0.2, 3.0], [5.0, 5.0], [0.2, 3.0], [19.9, 3.2]]),
+              _BOX, 0.25, 0.8))
     @settings(max_examples=400, deadline=None)
     def test_strip_finds_the_rows_of_a_full_scan(self, case):
-        X, probe, box, tau_lo, tau_hi = case
-        want = _scan_cone_rows(X, probe, box, tau_lo, tau_hi)
-        strip = rt._strip_index(X)
-        if want is None:
-            with pytest.raises(ValueError, match="sits on a particle"):
-                rt._cone_rows(X, strip, 0.8, probe, box, tau_lo, tau_hi)
-            return
-        got = rt._cone_rows(X, strip, 0.8, probe, box, tau_lo, tau_hi)
-        for key, a, b in zip(want._fields, got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b), key
+        # each probe's segment of the stack is its own full scan
+        _assert_segments_are_scans(*case)
 
     @pytest.mark.parametrize("x,probe", [
         ((7.0, 4.0), (7.0, 4.0)),
@@ -357,8 +395,14 @@ class TestConeRows:
     def test_probe_on_particle_in_newest_slab_raises(self, x, probe):
         X = np.array([[12.0, 12.0], x, [19.0, 1.0]])
         with pytest.raises(ValueError, match="sits on a particle"):
-            rt._cone_rows(X, rt._strip_index(X), 0.8, np.array(probe),
-                          np.array([20.0, 20.0]), 0.0, 0.04)
+            rt._cone_rows(X, rt._strip_index(X), 0.8, np.array([probe]),
+                          _BOX, 0.0, 0.04)
+
+    def test_empty_stack(self):
+        X = np.array([[12.0, 12.0], [19.0, 1.0]])
+        got, bounds = rt._cone_rows(X, rt._strip_index(X), 0.8,
+                                    np.zeros((0, 2)), _BOX, 0.0, 0.8)
+        assert bounds.tolist() == [0] and got.idx.size == 0
 
 
 def _json_native(v) -> bool:
@@ -491,6 +535,18 @@ class TestRepresentation:
             rt.field_from_representation(h, 0.3, [10.0, 10.0, 10.0])
         with pytest.raises(ValueError, match="shape"):   # one bare probe
             rt.field_from_representation(h, 0.3, [10.0, 10.0])
+
+    def test_empty_probe_stack(self):
+        h = _history(t_final=0.3)
+        assert rt.field_from_representation(h, 0.3, np.zeros((0, 2))) == []
+
+    def test_probe_on_particle_is_named_in_a_stack(self):
+        # the third probe of the stack sits on the resting particle
+        x0 = [[10.0, 10.0], [5.0, 5.0]]
+        h = _two_step_history(x0, x0)
+        with pytest.raises(ValueError, match=r"t=0\.05 x=\[10\.0, 10\.0\]"):
+            rt.field_from_representation(
+                h, 0.05, [(3.0, 3.0), (15.0, 12.0), (10.0, 10.0)])
 
     @pytest.mark.parametrize("x_first,x_last", [
         ((10.0, 10.0), (10.0, 10.0)),   # on the probe in both flows
