@@ -143,20 +143,8 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------
 
 def _suite_identities(seed, count) -> tuple[list[IneqReport], bool]:
-    reports = [ineq.flux_identity_suite(seed, count)]
-    # null-coordinate identity: 1 - |xi|^2 = 4 psi (t-s-psi) / (t-s)^2
-    rng = np.random.default_rng(seed + 1)
-    t = 1.0 + rng.random(count) * 9.0
-    s = rng.random(count) * t * 0.999
-    frac = rng.random(count)
-    r = frac * (t - s)
-    xi_sq = frac ** 2
-    psi = 0.5 * (t - s - r)
-    rhs = 4.0 * psi * (t - s - psi) / (t - s) ** 2
-    res = float(np.max(np.abs((1.0 - xi_sq) - rhs)))
-    reports.append(IneqReport(
-        name="null_coordinate_identity", n_samples=count, max_ratio=res,
-        witness=None, passed=res < 1e-12))
+    reports = [ineq.flux_identity_suite(seed, count),
+               ineq.null_coordinate_identity(seed, count)]
     return reports, all(r.passed for r in reports)
 
 

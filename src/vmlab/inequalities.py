@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .maxwell import flux_identity_lhs, good_component_sq
-from .phase import (IneqReport, embed3, interpolation_check, p0_of,
+from .phase import (IneqReport, _blocks, interpolation_check, p0_of,
                     unit_direction)
 from .retarded import gauss_rule
 
@@ -26,6 +26,7 @@ __all__ = [
     "sample_momenta_xi",
     "flux_identity_check",
     "flux_identity_suite",
+    "null_coordinate_identity",
     "geometry_bounds_check",
     "singular_integral_lemma_check",
     "interpolation_suite",
@@ -39,30 +40,52 @@ def sample_momenta_xi(seed: int, n: int):
     ``seed``, with heavy momentum tails and the stress regimes mixed in: a
     slice with |phat| > 1 - 1e-6, a slice with |xi| > 1 - 1e-6, and a slice
     with xi nearly antiparallel to phat (1 + phat.xi -> 0), each an eighth
-    of the draws."""
+    of the draws. Row norms are summed one column at a time, to the bits of
+    ``np.linalg.norm(..., axis=1)``."""
     rng = np.random.default_rng(seed)
     k = n // 8
     mag = np.exp(rng.uniform(-3.0, 9.0, n))
     mag[:k] = np.exp(rng.uniform(7.0, 20.0, k))   # |phat| > 1 - 1e-6
-    direc = rng.standard_normal((n, 3))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    p = mag[:, None] * direc
+    p = rng.standard_normal((n, 3))                # directions, then p
+    p /= np.sqrt((p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
+                 + p[:, 2] * p[:, 2])[:, None]
+    p *= mag[:, None]
 
     u = rng.random(n)
     xi_mag = np.sqrt(u)
     xi_mag[n - k:] = 1.0 - np.exp(rng.uniform(math.log(1e-9), math.log(1e-6), k))
     phi = rng.random(n) * 2.0 * np.pi
-    xi = xi_mag[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    xi = np.empty((n, 2))
+    np.multiply(xi_mag, np.cos(phi), out=xi[:, 0])
+    np.multiply(xi_mag, np.sin(phi), out=xi[:, 1])
     sl = slice(n // 2, n // 2 + k)
-    ph = p[sl, :2]
-    nrm = np.maximum(np.linalg.norm(ph, axis=1, keepdims=True), 1e-300)
-    xi[sl] = -(ph / nrm) * xi_mag[sl, None]
+    ph0, ph1 = p[sl, 0], p[sl, 1]
+    nrm = np.maximum(np.sqrt(ph0 * ph0 + ph1 * ph1), 1e-300)
+    xi[sl, 0] = -(ph0 / nrm) * xi_mag[sl]
+    xi[sl, 1] = -(ph1 / nrm) * xi_mag[sl]
     return p, xi
 
 
 # --------------------------------------------------------------------------
 # Flux identity
 # --------------------------------------------------------------------------
+
+
+def _flux_residual(E, B, omega, mode: str) -> float:
+    """Max over the rows of E, B (n, 3) and omega (n, 2) of the flux
+    identity's |lhs - rhs| / (1 + |E|^2 + |B|^2), with rhs the ``mode``
+    good square, ``_BLOCK`` rows at a time. NaN if any row is NaN, as
+    ``np.max`` of the whole array gives."""
+    tops = []
+    for s in _blocks(len(E)):
+        e, b, w = E[s], B[s], omega[s]
+        lhs = flux_identity_lhs(e, b, w)
+        rhs = 0.25 * good_component_sq(e, b, w, mode)
+        scale = 1.0 + ((e[:, 0] * e[:, 0] + b[:, 0] * b[:, 0])
+                       + (e[:, 1] * e[:, 1] + b[:, 1] * b[:, 1])
+                       + (e[:, 2] * e[:, 2] + b[:, 2] * b[:, 2]))
+        tops.append(np.max(np.abs(lhs - rhs) / scale))
+    return float(np.max(tops))
 
 
 def flux_identity_check(E, B, omega) -> float:
@@ -77,13 +100,13 @@ def flux_identity_check(E, B, omega) -> float:
     E = np.asarray(E, dtype=float)
     B = np.asarray(B, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    nrm = np.sqrt(np.sum(omega[..., :2] ** 2, axis=-1))
+    nrm = np.sqrt(omega[..., 0] ** 2 + omega[..., 1] ** 2)
     if np.any(np.abs(nrm - 1.0) > 1e-9):
         raise ValueError("omega must be a unit vector")
-    lhs = flux_identity_lhs(E, B, omega)
-    rhs = 0.25 * good_component_sq(E, B, omega, "2.5d")
-    scale = 1.0 + np.sum(E * E + B * B, axis=-1)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    lead = np.broadcast_shapes(E.shape[:-1], B.shape[:-1], omega.shape[:-1])
+    E, B, omega = (np.broadcast_to(a, lead + a.shape[-1:])
+                   .reshape(-1, a.shape[-1]) for a in (E, B, omega))
+    return _flux_residual(E, B, omega, "2.5d")
 
 
 def flux_identity_suite(seed: int, n: int) -> IneqReport:
@@ -91,8 +114,10 @@ def flux_identity_suite(seed: int, n: int) -> IneqReport:
     the component list) over ``n`` >= 3 random triples from ``seed``, a third
     of them planar-ansatz ones."""
     rng = np.random.default_rng(seed)
-    E = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-3, 6, (n, 1)))
-    B = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-3, 6, (n, 1)))
+    E = rng.standard_normal((n, 3))
+    E *= np.exp(rng.uniform(-3, 6, (n, 1)))
+    B = rng.standard_normal((n, 3))
+    B *= np.exp(rng.uniform(-3, 6, (n, 1)))
     # planar-ansatz subset: E in-plane, B out-of-plane
     k = n // 3
     E[:k, 2] = 0.0
@@ -102,14 +127,34 @@ def flux_identity_suite(seed: int, n: int) -> IneqReport:
 
     res = flux_identity_check(E, B, om)
     # planar reduction on the ansatz subset
-    lhs = flux_identity_lhs(E[:k], B[:k], om[:k])
-    rhs2 = 0.25 * good_component_sq(E[:k], B[:k], om[:k], "2d")
-    scale = 1.0 + np.sum(E[:k] ** 2 + B[:k] ** 2, axis=-1)
-    res2 = float(np.max(np.abs(lhs - rhs2) / scale))
+    res2 = _flux_residual(E[:k], B[:k], om[:k], "2d")
     worst = max(res, res2)
     return IneqReport(name="flux_identity", n_samples=n, max_ratio=worst,
                       witness=None, passed=worst < 1e-12,
                       details={"full": res, "planar_reduction": res2})
+
+
+def null_coordinate_identity(seed: int, n: int) -> IneqReport:
+    """Residual of the null-coordinate identity
+
+      1 - |xi|^2 = 4 psi (t - s - psi) / (t - s)^2,
+
+    xi = (y - x)/(t - s) and psi = (t - s - |y - x|)/2, at ``n`` random
+    backward-cone points from ``seed`` + 1: the max of the absolute
+    residual, ``_BLOCK`` rows at a time."""
+    rng = np.random.default_rng(seed + 1)
+    u_t, u_s, frac = rng.random(n), rng.random(n), rng.random(n)
+    tops = []
+    for b in _blocks(n):
+        t = 1.0 + u_t[b] * 9.0
+        s = u_s[b] * t * 0.999
+        r = frac[b] * (t - s)
+        psi = 0.5 * (t - s - r)
+        rhs = 4.0 * psi * (t - s - psi) / (t - s) ** 2
+        tops.append(np.max(np.abs((1.0 - frac[b] ** 2) - rhs)))
+    res = float(np.max(tops))
+    return IneqReport(name="null_coordinate_identity", n_samples=n,
+                      max_ratio=res, witness=None, passed=res < 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -126,6 +171,38 @@ _GEOMETRY_CONSTANTS = {
 }
 
 
+def _geometry_ratios(p, xi) -> dict:
+    """lhs / (constant * rhs) of each geometry bound at the rows of p (m, 3)
+    and xi (m, 2), one component at a time: each norm, dot and cross product
+    to the bits of its ``np.linalg.norm``, ``np.sum`` or ``np.cross`` form
+    with omega and xi padded by a zero third component."""
+    p0 = p0_of(p)
+    h0, h1, h2 = p[:, 0] / p0, p[:, 1] / p0, p[:, 2] / p0
+    x0, x1 = xi[:, 0], xi[:, 1]
+    xi_mag = np.sqrt(x0 * x0 + x1 * x1)
+    om = unit_direction(xi, xi_mag)
+    o0, o1 = om[:, 0], om[:, 1]
+    kappa = h0 * x0 + h1 * x1
+    one = 1.0 + kappa
+    half = np.sqrt(one)
+
+    a0, a1 = x0 + h0, x1 + h1                      # xi + phat
+    c0 = h1 * 0.0 - h2 * o1                        # phat x omega
+    c1 = h2 * o0 - h0 * 0.0
+    c2 = h0 * o1 - h1 * o0
+    lhs_rhs = {
+        "xi_plus_phat": (np.sqrt((a0 * a0 + a1 * a1) + h2 * h2), half),
+        "phat_cross_omega": (np.sqrt((c0 * c0 + c1 * c1) + c2 * c2), half),
+        "xi_minus_omega": (1.0 - xi_mag, one),
+        "one_plus_phat_omega": (1.0 + ((h0 * o0 + h1 * o1) + h2 * 0.0), one),
+        "inv_p0": (1.0 / p0, half),
+        "xik_kappa_minus_phatk": (np.maximum(np.abs(x0 * kappa - h0),
+                                             np.abs(x1 * kappa - h1)), half),
+    }
+    return {name: lhs / (_GEOMETRY_CONSTANTS[name] * np.maximum(rhs, 1e-300))
+            for name, (lhs, rhs) in lhs_rhs.items()}
+
+
 def geometry_bounds_check(seed: int, n: int) -> dict:
     """The six light-cone geometry bounds with their explicit constants,
     for omega = xi/|xi| (arbitrary unit direction when xi = 0):
@@ -139,38 +216,28 @@ def geometry_bounds_check(seed: int, n: int) -> dict:
 
     Returns {name: IneqReport}; ``max_ratio`` is lhs / (constant * rhs), so
     every bound holds iff every max_ratio <= 1. The ``n`` samples are the
-    3-momenta ``sample_momenta_xi(seed, n)``.
+    3-momenta ``sample_momenta_xi(seed, n)``, checked ``_BLOCK`` rows at a
+    time. The witness is the first row of the largest ratio, or of the
+    first NaN, as ``np.argmax`` over all rows picks it.
     """
     p, xi = sample_momenta_xi(seed, n)
-    p0 = p0_of(p)
-    phat = p / p0[:, None]
-    xi_mag = np.sqrt(np.sum(xi * xi, axis=1))
-    om3 = embed3(unit_direction(xi, xi_mag))
-    kappa = phat[:, 0] * xi[:, 0] + phat[:, 1] * xi[:, 1]
-    one = 1.0 + kappa
-    half = np.sqrt(one)
-
-    xi3 = embed3(xi)
-    checks = {
-        "xi_plus_phat": (np.linalg.norm(xi3 + phat, axis=1), half),
-        "phat_cross_omega": (np.linalg.norm(np.cross(phat, om3), axis=1), half),
-        "xi_minus_omega": (1.0 - xi_mag, one),
-        "one_plus_phat_omega": (1.0 + np.sum(phat * om3, axis=1), one),
-        "inv_p0": (1.0 / p0, half),
-        "xik_kappa_minus_phatk": (
-            np.abs(xi * kappa[:, None] - phat[:, :2]).max(axis=1), half),
-    }
+    # per block, each check's largest ratio and its row; np.argmax over the
+    # block tops then picks the first block holding the overall one
+    tops = {name: [] for name in _GEOMETRY_CONSTANTS}
+    rows = {name: [] for name in _GEOMETRY_CONSTANTS}
+    for s in _blocks(n):
+        for name, ratio in _geometry_ratios(p[s], xi[s]).items():
+            k = int(np.argmax(ratio))
+            tops[name].append(ratio[k])
+            rows[name].append(s.start + k)
     out = {}
-    for name, (lhs, rhs) in checks.items():
-        c = _GEOMETRY_CONSTANTS[name]
-        ratio = lhs / (c * np.maximum(rhs, 1e-300))
-        k = int(np.argmax(ratio))
+    for name, c in _GEOMETRY_CONSTANTS.items():
+        b = int(np.argmax(tops[name]))
+        k, top = rows[name][b], float(tops[name][b])
         out[name] = IneqReport(
-            name=f"geometry.{name}", n_samples=p.shape[0],
-            max_ratio=float(ratio[k]),
+            name=f"geometry.{name}", n_samples=n, max_ratio=top,
             witness={"p": p[k].tolist(), "xi": xi[k].tolist()},
-            passed=bool(ratio[k] <= 1.0 + 1e-12),
-            details={"constant": c})
+            passed=top <= 1.0 + 1e-12, details={"constant": c})
     return out
 
 
@@ -244,11 +311,13 @@ def singular_integral_lemma_check(profile, xi_mags, mode: str,
                 * rho[:, None] * 2.0)           # even in p3
         mom2 = 2.0 * np.pi * float(np.sum(meas * p0sq))
         mom4 = 2.0 * np.pi * float(np.sum(meas * p0sq ** 2))
-        w3 = bp3[None, :] ** 1.5
+        # loop invariants; den keeps the order (1 + p3^2) + rho^2 e2
+        meas_w3 = meas * bp3[None, :] ** 1.5
+        rho2 = rho[:, None] ** 2
         lhs = np.empty(len(xi_mags))
         for i, e2 in enumerate(eps2):
-            den = np.sqrt(1.0 + p3[None, :] ** 2 + rho[:, None] ** 2 * e2)
-            lhs[i] = 2.0 * np.pi * float(np.sum(meas * w3 / den))
+            den = np.sqrt(bp3[None, :] + rho2 * e2)
+            lhs[i] = 2.0 * np.pi * float(np.sum(meas_w3 / den))
     if not (math.isfinite(mom2) and math.isfinite(mom4)):
         raise ValueError("profile lacks the required p0 moments")
 

@@ -51,6 +51,23 @@ def p0_of(p: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + sq)
 
 
+# Rows handled at a time by the particle step and the sampled checks. A
+# block's temporaries stay in cache and are reused from the allocator's heap,
+# where whole-array ones take fresh pages from the OS. Five interleaved
+# golden_2d runs per size (2 cores, Python 3.11.7, NumPy 2.4.6) had median
+# wall times of 3.95 s at 4,096 rows, 3.70 s at 8,192 and 3.96 s at 16,384,
+# each with 25,000 to 35,000 minor page faults (406,000 unblocked). Five
+# interleaved in-process ``verify all --count 1000000`` runs per size had
+# medians of 0.89 s at 4,096 rows, 0.79 s at 8,192, 0.83 s at 16,384,
+# 0.82 s at 65,536 and 1.22 s unblocked.
+_BLOCK = 8192
+
+
+def _blocks(n: int) -> list:
+    """Slices of ``_BLOCK`` rows covering ``range(n)``."""
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+
+
 # --------------------------------------------------------------------------
 # Light-cone geometry
 # --------------------------------------------------------------------------

@@ -13,11 +13,11 @@ of the gauge potential A3 — so the continuum cancellation
 invariant V3 + A3 drifts only through the time discretization.
 
 The particle half of a step (gather, push, wrap) and the deposit's stencil
-run ``_BLOCK`` particles at a time, so no step allocates whole-ensemble
-temporaries; the deposit writes its stencil into node-major (4, n) buffers
-that a run allocates once (``deposit_work``) and sums each grid array with
-one ``bincount`` over all of them. Every operation is elementwise within a
-block, so the block size changes no bit of any result.
+run ``phase._BLOCK`` particles at a time, so no step allocates
+whole-ensemble temporaries; the deposit writes its stencil into node-major
+(4, n) buffers that a run allocates once (``deposit_work``) and sums each
+grid array with one ``bincount`` over all of them. Every operation is
+elementwise within a block, so the block size changes no bit of any result.
 
 Everything is deterministic for a fixed (config, seed): sampling uses a
 seeded generator, reductions have fixed order.
@@ -35,6 +35,7 @@ import numpy as np
 
 from . import characteristics as chars
 from . import maxwell as mx
+from . import phase
 from .phase import ParticleEnsemble, moment
 
 __all__ = [
@@ -310,15 +311,6 @@ def initial_fields(scn: Scenario, rho: np.ndarray) -> tuple[mx.FieldState, np.nd
 # Deposit / gather
 # --------------------------------------------------------------------------
 
-# Particle rows pushed and deposited at a time. A block's temporaries stay
-# in cache and are reused from the allocator's heap, where whole-ensemble
-# ones took fresh pages from the OS every step. Five interleaved golden_2d
-# runs per size (2 cores, Python 3.11.7, NumPy 2.4.6) had median wall times
-# of 3.95 s at 4,096 rows, 3.70 s at 8,192 and 3.96 s at 16,384, each with
-# 25,000 to 35,000 minor page faults (406,000 unblocked).
-_BLOCK = 8192
-
-
 def wrap_box(x: np.ndarray, box) -> np.ndarray:
     """Periodic wrap of positions (..., d) into [0, box), box (d,), to the
     bits of ``x % box``.
@@ -340,11 +332,6 @@ def wrap_box(x: np.ndarray, box) -> np.ndarray:
             v[far] = np.where(m >= b, 0.0, m)
         y[..., c] = v
     return y
-
-
-def _blocks(n: int) -> list:
-    """Slices of ``_BLOCK`` rows covering ``range(n)``."""
-    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
 
 
 def _cic(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
@@ -432,9 +419,9 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid,
     """CIC deposition of charge 4*pi*integral(f dp) and current
     4*pi*integral(phat f dp) onto the grid: (rho (nx, ny), j (3, nx, ny)).
 
-    The stencil is built ``_BLOCK`` particles at a time into ``work`` (from
-    ``deposit_work``), and each grid sum is one ``bincount`` over all 4n
-    stencil entries, node by node."""
+    The stencil is built ``phase._BLOCK`` particles at a time into ``work``
+    (from ``deposit_work``), and each grid sum is one ``bincount`` over all
+    4n stencil entries, node by node."""
     x = ens.x
     if len(ens) and (x.min() < 0 or x[:, 0].max() >= grid.lx
                      or x[:, 1].max() >= grid.ly):
@@ -445,7 +432,7 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid,
     if len(ens):
         idx, q, qc = work
         scale = 4.0 * np.pi / grid.cell
-        blocks = _blocks(len(ens))
+        blocks = phase._blocks(len(ens))
         for s in blocks:
             _cic(grid, x[s], idx[:, s], q[:, s])
             q[:, s] *= scale * ens.w[s]
@@ -726,7 +713,7 @@ def run(scn: Scenario) -> RunResult:
             a3_half = mx.evolve_a3(a3, e3_mid, 0.5 * scn.dt)
         sampler = make_field_sampler(fields_half, a3_half)
         x, p, p0 = np.empty_like(ens.x), np.empty_like(ens.p), np.empty(n)
-        for s in _blocks(n):
+        for s in phase._blocks(n):
             xn, p[s], p0[s] = chars.push_many(ens.x[s], ens.p[s], ens.p0[s],
                                               sampler, scn.dt)
             x[s] = wrap_box(xn, box)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from vmlab import cli, pic
+from vmlab import cli, phase, pic
 from vmlab import maxwell as mx
 from vmlab.phase import embed3
 from vmlab import retarded as rt
@@ -224,6 +224,21 @@ class TestVerify:
 
     def test_smallest_count_runs(self, capsys):
         assert run_cli("verify", "identities", "--count", "3") == cli.EXIT_OK
+
+    def test_block_size_leaves_report_unchanged(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the sampled suites run ``phase._BLOCK`` rows at a time; the planar
+        # subset k = count // 3 = 5,463 ends inside a block at every size
+        count = 2 * phase._BLOCK + 5
+        outs = []
+        for block in (phase._BLOCK, 7, count + 1):
+            monkeypatch.setattr(phase, "_BLOCK", block)
+            rep = tmp_path / f"block{block}.json"
+            assert run_cli("verify", "all", "--seed", "3", "--count",
+                           str(count), "--out", str(rep)) == cli.EXIT_OK
+            outs.append((rep.read_bytes(), capsys.readouterr().out))
+        assert outs[1] == outs[0]
+        assert outs[2] == outs[0]
 
 
 class TestFieldsCompare:

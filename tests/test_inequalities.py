@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vmlab import inequalities as ineq
+from vmlab import phase
+from vmlab.maxwell import good_component_sq
 
 
 class TestFluxIdentity:
@@ -32,6 +34,93 @@ class TestFluxIdentity:
         B = np.array([vals[3:]])
         om = np.array([[math.cos(ang), math.sin(ang)]])
         assert ineq.flux_identity_check(E, B, om) < 1e-12
+
+
+class TestBlockedMaxima:
+    """The sampled checks run ``phase._BLOCK`` rows at a time and merge the
+    block maxima as ``np.max`` and ``np.argmax`` over all rows would: a NaN
+    row in a late block wins, and a tie goes to the first row."""
+
+    N = 2 * phase._BLOCK + 5
+
+    def test_flux_check_keeps_a_late_nan(self):
+        rng = np.random.default_rng(0)
+        E = rng.standard_normal((self.N, 3))
+        B = rng.standard_normal((self.N, 3))
+        phi = rng.random(self.N) * 2.0 * np.pi
+        om = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        assert ineq.flux_identity_check(E, B, om) < 1e-12
+        E[self.N - 2, 0] = np.nan
+        assert math.isnan(ineq.flux_identity_check(E, B, om))
+
+    def test_flux_suite_fails_on_a_late_nan(self, monkeypatch):
+        # the third block of the full check is rows 2 * _BLOCK onwards
+        calls = []
+
+        def nan_in_third_block(E, B, omega, mode):
+            out = good_component_sq(E, B, omega, mode)
+            calls.append(mode)
+            if len(calls) == 3:
+                out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(ineq, "good_component_sq", nan_in_third_block)
+        rep = ineq.flux_identity_suite(0, self.N)
+        assert calls == ["2.5d"] * 3 + ["2d"]
+        assert math.isnan(rep.details["full"])
+        assert math.isnan(rep.max_ratio)
+        assert not rep.passed
+
+    def _check(self, monkeypatch, edit):
+        p, xi = ineq.sample_momenta_xi(4, self.N)
+        edit(p, xi)
+        monkeypatch.setattr(ineq, "sample_momenta_xi", lambda seed, n: (p, xi))
+        reports = ineq.geometry_bounds_check(4, self.N)
+        # the unblocked reference: every row at once
+        whole = ineq._geometry_ratios(p, xi)
+        for name, rep in reports.items():
+            k = int(np.argmax(whole[name]))
+            assert rep.witness["p"] == p[k].tolist()
+            assert np.array_equal(rep.witness["xi"], xi[k], equal_nan=True)
+            assert np.array_equal(rep.max_ratio, whole[name][k],
+                                  equal_nan=True)
+        return reports, p
+
+    def test_geometry_nan_ratio_is_the_witness(self, monkeypatch):
+        first, later = phase._BLOCK + 3, 2 * phase._BLOCK + 1
+
+        def edit(p, xi):
+            xi[later] = np.nan
+            xi[first] = np.nan
+
+        reports, p = self._check(monkeypatch, edit)
+        for rep in reports.values():
+            assert math.isnan(rep.max_ratio)
+            assert not rep.passed
+            assert rep.witness["p"] == p[first].tolist()
+
+    def test_geometry_tie_across_blocks_goes_to_the_first_row(
+            self, monkeypatch):
+        # at xi = 0 the |xi - omega| ratio is (1 - 0) / (1 + 0) = 1 exactly,
+        # above every other draw's; the two rows differ in p
+        first, later = phase._BLOCK + 2, 2 * phase._BLOCK + 1
+
+        def edit(p, xi):
+            xi[later] = 0.0
+            xi[first] = 0.0
+
+        reports, p = self._check(monkeypatch, edit)
+        rep = reports["xi_minus_omega"]
+        assert rep.max_ratio == 1.0 and rep.passed
+        assert rep.witness["p"] == p[first].tolist() != p[later].tolist()
+
+
+class TestNullCoordinateIdentity:
+    def test_passes(self):
+        rep = ineq.null_coordinate_identity(0, 5000)
+        assert rep.name == "null_coordinate_identity"
+        assert rep.n_samples == 5000
+        assert rep.passed and rep.max_ratio < 1e-12
 
 
 class TestGeometryBounds:

@@ -507,19 +507,19 @@ class TestRun:
 
 
 class TestBlocks:
-    """The particle step runs ``pic._BLOCK`` rows at a time; the block size
+    """The particle step runs ``phase._BLOCK`` rows at a time; the block size
     must not change a bit of any output."""
 
     @pytest.mark.parametrize("cfg", [small_cfg, small_cfg_25d])
     def test_block_size_leaves_outputs_unchanged(self, cfg, tmp_path,
                                                  monkeypatch):
-        n = 2 * pic._BLOCK + 3
+        n = 2 * phase._BLOCK + 3
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps(cfg(n_particles=n, t_final=0.1)))
         files = ("diagnostics.csv", "ensemble.csv", "fields.csv")
         outs = []
-        for block in (pic._BLOCK, 7, n + 1):
-            monkeypatch.setattr(pic, "_BLOCK", block)
+        for block in (phase._BLOCK, 7, n + 1):
+            monkeypatch.setattr(phase, "_BLOCK", block)
             out = tmp_path / f"block{block}"
             assert cli.main(["simulate", str(scn), "--out", str(out)]) == 0
             outs.append([(out / f).read_bytes() for f in files])
