@@ -41,23 +41,33 @@ def sample_momenta_xi(seed: int, n: int):
     slice with |phat| > 1 - 1e-6, a slice with |xi| > 1 - 1e-6, and a slice
     with xi nearly antiparallel to phat (1 + phat.xi -> 0), each an eighth
     of the draws. Row norms are summed one column at a time, to the bits of
-    ``np.linalg.norm(..., axis=1)``."""
+    ``np.linalg.norm(..., axis=1)``. Each draw is whole and freed after its
+    last use; p and xi are built from them ``_BLOCK`` rows at a time, the
+    rest in place, so at most 56 bytes per sample are held."""
     rng = np.random.default_rng(seed)
     k = n // 8
-    mag = np.exp(rng.uniform(-3.0, 9.0, n))
+    mag = rng.uniform(-3.0, 9.0, n)
+    np.exp(mag, out=mag)
     mag[:k] = np.exp(rng.uniform(7.0, 20.0, k))   # |phat| > 1 - 1e-6
     p = rng.standard_normal((n, 3))                # directions, then p
-    p /= np.sqrt((p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
-                 + p[:, 2] * p[:, 2])[:, None]
-    p *= mag[:, None]
+    for s in _blocks(n):
+        q = p[s]
+        q /= np.sqrt((q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1])
+                     + q[:, 2] * q[:, 2])[:, None]
+        q *= mag[s, None]
+    del mag
 
-    u = rng.random(n)
-    xi_mag = np.sqrt(u)
+    xi_mag = rng.random(n)
+    np.sqrt(xi_mag, out=xi_mag)
     xi_mag[n - k:] = 1.0 - np.exp(rng.uniform(math.log(1e-9), math.log(1e-6), k))
-    phi = rng.random(n) * 2.0 * np.pi
+    phi = rng.random(n)
+    phi *= 2.0
+    phi *= np.pi
     xi = np.empty((n, 2))
-    np.multiply(xi_mag, np.cos(phi), out=xi[:, 0])
-    np.multiply(xi_mag, np.sin(phi), out=xi[:, 1])
+    for s in _blocks(n):
+        np.multiply(xi_mag[s], np.cos(phi[s]), out=xi[s, 0])
+        np.multiply(xi_mag[s], np.sin(phi[s]), out=xi[s, 1])
+    del phi
     sl = slice(n // 2, n // 2 + k)
     ph0, ph1 = p[sl, 0], p[sl, 1]
     nrm = np.maximum(np.sqrt(ph0 * ph0 + ph1 * ph1), 1e-300)
@@ -112,22 +122,35 @@ def flux_identity_check(E, B, omega) -> float:
 def flux_identity_suite(seed: int, n: int) -> IneqReport:
     """Residuals of the flux identity (and its planar reduction, which halves
     the component list) over ``n`` >= 3 random triples from ``seed``, a third
-    of them planar-ansatz ones."""
+    of them planar-ansatz ones. Only the draws E, B and phi are whole (56
+    bytes per sample); omega = (cos phi, sin phi) is built per block, for
+    every block of the full check and then for those of the planar subset."""
     rng = np.random.default_rng(seed)
     E = rng.standard_normal((n, 3))
-    E *= np.exp(rng.uniform(-3, 6, (n, 1)))
+    u = rng.uniform(-3, 6, (n, 1))
+    E *= np.exp(u, out=u)
+    del u                                  # before B is drawn
     B = rng.standard_normal((n, 3))
-    B *= np.exp(rng.uniform(-3, 6, (n, 1)))
+    u = rng.uniform(-3, 6, (n, 1))
+    B *= np.exp(u, out=u)
+    del u
     # planar-ansatz subset: E in-plane, B out-of-plane
     k = n // 3
     E[:k, 2] = 0.0
     B[:k, :2] = 0.0
-    phi = rng.random(n) * 2.0 * np.pi
-    om = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    phi = rng.random(n)
+    phi *= 2.0
+    phi *= np.pi
 
-    res = flux_identity_check(E, B, om)
+    def omega(a):
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+
+    res = float(np.max([flux_identity_check(E[s], B[s], omega(phi[s]))
+                        for s in _blocks(n)]))
     # planar reduction on the ansatz subset
-    res2 = _flux_residual(E[:k], B[:k], om[:k], "2d")
+    Ek, Bk, phik = E[:k], B[:k], phi[:k]
+    res2 = float(np.max([_flux_residual(Ek[s], Bk[s], omega(phik[s]), "2d")
+                         for s in _blocks(k)]))
     worst = max(res, res2)
     return IneqReport(name="flux_identity", n_samples=n, max_ratio=worst,
                       witness=None, passed=worst < 1e-12,
@@ -378,27 +401,32 @@ def gronwall_check(M, p: float, T: float, n_grid: int = 10_000) -> IneqReport:
     Mv = np.array([float(M(tk)) for tk in t])
     if np.any(Mv < 0) or np.any(np.diff(Mv) < -1e-12):
         raise ValueError("M must be nonnegative and nondecreasing")
-    g = np.empty_like(t)
-    g[0] = Mv[0]
+    Ms = Mv.tolist()   # Python floats: float64's bits, twice as fast
+    g = [Ms[0]]
     integral = 0.0   # integral of g^p up to t_k
-    for k in range(1, len(t)):
-        if p == 1.0:
-            denom = 1.0 - 0.5 * h * Mv[k]
-            if denom <= 0:
-                raise ValueError("grid too coarse for this M (step fixed point "
-                                 "not contractive)")
-            g[k] = Mv[k] * (1.0 + integral + 0.5 * h * g[k - 1]) / denom
-        else:
-            base = integral + 0.5 * h * g[k - 1] ** p
-            gk = g[k - 1]
-            for _ in range(100):
-                new = Mv[k] * (1.0 + (base + 0.5 * h * gk ** p) ** (1.0 / p))
-                if abs(new - gk) <= 1e-14 * max(1.0, abs(new)):
+    try:
+        for k in range(1, len(Ms)):
+            if p == 1.0:
+                denom = 1.0 - 0.5 * h * Ms[k]
+                if denom <= 0:
+                    raise ValueError("grid too coarse for this M (step fixed "
+                                     "point not contractive)")
+                gk = Ms[k] * (1.0 + integral + 0.5 * h * g[k - 1]) / denom
+            else:
+                base = integral + 0.5 * h * g[k - 1] ** p
+                gk = g[k - 1]
+                for _ in range(100):
+                    new = Ms[k] * (1.0 + (base + 0.5 * h * gk ** p)
+                                   ** (1.0 / p))
+                    if abs(new - gk) <= 1e-14 * max(1.0, abs(new)):
+                        gk = new
+                        break
                     gk = new
-                    break
-                gk = new
-            g[k] = gk
-        integral += 0.5 * h * (g[k - 1] ** p + g[k] ** p)
+            g.append(gk)
+            integral += 0.5 * h * (g[k - 1] ** p + gk ** p)
+    except OverflowError:   # a float64 power is inf here, and g inf after it
+        g += [math.inf] * (len(Ms) - len(g))
+    g = np.array(g)
     bound = 2.0 * Mv * np.exp(np.minimum(4.0 ** p * t * Mv ** p, 700.0))
     ratio = g / np.maximum(bound, 1e-300)
     k = int(np.argmax(ratio))

@@ -75,9 +75,11 @@ def _blocks(n: int) -> list:
 
 def unit_direction(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Unit directions d / r of in-plane offsets d (..., 2) with lengths r
-    (...), and e_1 where r = 0 (on the cone axis)."""
-    return np.where(r[..., None] > 0, d / np.maximum(r, 1e-300)[..., None],
-                    np.array([1.0, 0.0]))
+    (...), and e_1 where r = 0 (on the cone axis); by columns, which is
+    faster than a broadcast over the length-2 inner axis."""
+    on, rr = r > 0, np.maximum(r, 1e-300)
+    return np.stack([np.where(on, d[..., 0] / rr, 1.0),
+                     np.where(on, d[..., 1] / rr, 0.0)], axis=-1)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""SHA-256 digests of vmlab's golden outputs, and the environment that made
+them. Rewrite ``tests/golden_digests.json`` from the working tree with
+
+    PYTHONPATH=src python tests/golden_digests.py
+
+``tests/test_golden_digests.py`` runs the same commands and compares.
+
+The bits of ``sin``, ``cos`` and ``exp`` depend on NumPy's version and on
+the SIMD paths it dispatches to, so a digest holds only on the environment
+recorded beside it. Each entry of ``RUNS`` is one command line; its value
+writes that command's outputs into a directory and returns their names.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from vmlab import cli
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
+def environment_key() -> dict:
+    """NumPy version, machine, and the CPU features NumPy's dispatch has
+    enabled (its baseline and dispatch targets that this CPU has)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                      # NumPy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = umath.__cpu_features__
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "cpu_dispatch": [f for f in (*umath.__cpu_baseline__,
+                                         *umath.__cpu_dispatch__)
+                             if found.get(f)]}
+
+
+def _run_cli(argv: list, stdout: Path) -> None:
+    """Run ``vmlab argv`` and write what it prints to ``stdout``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"vmlab {' '.join(argv)} exited {code}")
+    stdout.write_text(buf.getvalue())
+
+
+def _verify(out_dir: Path) -> list:
+    _run_cli(["verify", "all", "--seed", "3", "--count", "200000",
+              "--out", str(out_dir / "verify.json")], out_dir / "stdout")
+    return ["stdout", "verify.json"]
+
+
+RUNS = {"verify all --seed 3 --count 200000": _verify}
+
+
+def run_digests(run: str, out_dir: Path) -> dict:
+    """{output name: SHA-256 hex digest} of ``run``'s outputs, written into
+    ``out_dir``."""
+    names = RUNS[run](out_dir)
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in sorted(names)}
+
+
+def main() -> int:
+    outputs = {}
+    for run in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs[run] = run_digests(run, Path(tmp))
+    DIGESTS.write_text(json.dumps({"environment": environment_key(),
+                                   "outputs": outputs},
+                                  indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 momentum integrals, interpolation, Gronwall and Strichartz arithmetic."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,26 @@ class TestBlockedMaxima:
         assert rep.witness["p"] == p[first].tolist() != p[later].tolist()
 
 
+class TestMemoryBudget:
+    """The sampled suites hold their draws whole, but build every array
+    derived from them in place or per block: at most 56 bytes per sample,
+    plus a block's temporaries."""
+
+    N = 400_000
+
+    @pytest.mark.parametrize("check", [ineq.flux_identity_suite,
+                                       ineq.geometry_bounds_check])
+    def test_peak_below_60_bytes_per_sample(self, check):
+        check(0, 1000)   # first-call allocations are not the samples'
+        tracemalloc.start()
+        try:
+            check(0, self.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * self.N + 4 * 2 ** 20, f"{peak / self.N:.1f} B/sample"
+
+
 class TestNullCoordinateIdentity:
     def test_passes(self):
         rep = ineq.null_coordinate_identity(0, 5000)
@@ -189,6 +210,46 @@ class TestGronwall:
         rep = ineq.gronwall_check(M, p, T, n_grid=3000)
         assert rep.passed, rep.max_ratio
         assert rep.max_ratio <= 1.0
+
+    @staticmethod
+    def _float64_march(M, p, T, n_grid):
+        """The saturated g of ``gronwall_check`` for p > 1, marched on NumPy
+        float64 scalars: the reference for its Python-float march. A power
+        that overflows is inf here, where a Python float raises."""
+        t = np.linspace(0.0, T, n_grid + 1)
+        h = T / n_grid
+        Mv = np.array([float(M(tk)) for tk in t])
+        g = np.empty_like(t)
+        g[0] = Mv[0]
+        integral = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, len(t)):
+                base = integral + 0.5 * h * g[k - 1] ** p
+                gk = g[k - 1]
+                for _ in range(100):
+                    new = Mv[k] * (1.0 + (base + 0.5 * h * gk ** p)
+                                   ** (1.0 / p))
+                    if abs(new - gk) <= 1e-14 * max(1.0, abs(new)):
+                        gk = new
+                        break
+                    gk = new
+                g[k] = gk
+                integral += 0.5 * h * (g[k - 1] ** p + g[k] ** p)
+        return g
+
+    @pytest.mark.parametrize("M,p,T", [
+        (lambda t: 1.0 + t, 2.0, 3.0),
+        (lambda t: 2.0, 3.0, 1.5),
+        (lambda t: 2.0, 3.0, 100.0),      # a sum overflows mid-march
+        (lambda t: 2.0, 5.0, 100.0),      # a power overflows mid-march
+        (lambda t: 1e200, 2.0, 1.0),      # g(0)^p overflows
+    ])
+    def test_march_matches_float64_scalars(self, M, p, T):
+        # an overflowed g, and M^p in the bound, warn as float64 arrays
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = ineq.gronwall_check(M, p, T, n_grid=3000)
+        ref = self._float64_march(M, p, T, 3000)
+        assert rep.details["g"].tobytes() == ref.tobytes()
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
