@@ -3,7 +3,9 @@ them. Rewrite ``tests/golden_digests.json`` from the working tree with
 
     PYTHONPATH=src python tests/golden_digests.py
 
-``tests/test_golden_digests.py`` runs the same commands and compares.
+which prints each (run, output) whose digest changed, with the old and the
+new digest. ``tests/test_golden_digests.py`` runs the same commands and
+compares.
 
 The bits of ``sin``, ``cos`` and ``exp`` depend on NumPy's version and on
 the SIMD paths it dispatches to, so a digest holds only on the environment
@@ -27,6 +29,7 @@ import numpy as np
 from vmlab import cli
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def environment_key() -> dict:
@@ -59,7 +62,34 @@ def _verify(out_dir: Path) -> list:
     return ["stdout", "verify.json"]
 
 
-RUNS = {"verify all --seed 3 --count 200000": _verify}
+def _simulate(name: str, *extra: str):
+    """``vmlab simulate`` of scenario ``name``: its CSVs, ``scenario.json``
+    and stdout, and the ``extra`` outputs. ``manifest.json`` holds wall
+    times and is left out."""
+    def write(out_dir: Path) -> list:
+        _run_cli(["simulate", str(SCENARIOS / f"{name}.json"),
+                  "--out", str(out_dir)], out_dir / "stdout")
+        return ["diagnostics.csv", "ensemble.csv", "fields.csv",
+                "scenario.json", "stdout", *extra]
+    return write
+
+
+def _fields_compare(out_dir: Path) -> list:
+    run_dir = out_dir / "golden_repr"
+    _simulate("golden_repr")(run_dir)
+    _run_cli(["fields-compare", str(run_dir),
+              "--probes", str(SCENARIOS / "golden_repr_probes.json"),
+              "--out", str(out_dir / "compare.json")], out_dir / "stdout")
+    return ["compare.json", "stdout"]
+
+
+RUNS = {"verify all --seed 3 --count 200000": _verify,
+        "simulate golden_2d.json": _simulate("golden_2d"),
+        "simulate golden_25d.json": _simulate("golden_25d"),
+        "simulate golden_repr.json": _simulate("golden_repr",
+                                                      "history.npz"),
+        "fields-compare <golden_repr run> --probes golden_repr_probes.json":
+            _fields_compare}
 
 
 def run_digests(run: str, out_dir: Path) -> dict:
@@ -70,7 +100,17 @@ def run_digests(run: str, out_dir: Path) -> dict:
             for name in sorted(names)}
 
 
+def changed_digests(old: dict, new: dict) -> list:
+    """(run, output, old digest, new digest) for each output whose digest
+    differs between two ``outputs`` maps, with None for a missing one."""
+    return [(run, name, old.get(run, {}).get(name), new.get(run, {}).get(name))
+            for run in sorted(old.keys() | new.keys())
+            for name in sorted(old.get(run, {}).keys() | new.get(run, {}).keys())
+            if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
+
+
 def main() -> int:
+    old = json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists() else {}
     outputs = {}
     for run in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +119,8 @@ def main() -> int:
                                    "outputs": outputs},
                                   indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
+    for run, name, was, now in changed_digests(old, outputs):
+        print(f"changed: {run}: {name}: {was} -> {now}")
     return 0
 
 
