@@ -10,7 +10,9 @@ mode the out-of-plane physics uses quadratic-spline (TSC) interpolation, and
 the in-plane magnetic force is the analytic gradient of the TSC interpolant
 of the gauge potential A3 — so the continuum cancellation
 (phat x B)_3 = -phat . grad A3 holds at the interpolant level and the
-invariant V3 + A3 drifts only through the time discretization.
+invariant V3 + A3 drifts only through the time discretization. One
+function, ``_stencil``, builds both shapes into caller buffers: the CIC
+deposit and gather, and the TSC gathers with their derivative weights.
 
 The particle half of a step (gather, push, wrap) and the deposit's stencil
 run ``phase._BLOCK`` particles at a time, so no step allocates
@@ -334,61 +336,49 @@ def wrap_box(x: np.ndarray, box) -> np.ndarray:
     return y
 
 
-def _cic(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
-    """Write the CIC stencil at positions x (n, 2) into ``idx`` and ``w``
-    (4, n): node 2a + b is (i + a, j + b) for the cell (i, j) holding x,
-    with weight wx_a * wy_b, wx = (1 - tx, tx)."""
-    axes = []
-    for c, (n, h) in enumerate(((grid.nx, grid.hx), (grid.ny, grid.hy))):
-        f = x[:, c] / h
-        i = np.floor(f)
-        t = f - i
-        # i is -1 at a half-drift position in (-h, 0) and n where x / h
-        # rounds up to n just below the box
-        i0 = i.astype(np.intp) % n
-        i1 = i0 + 1
-        i1[i1 == n] = 0
-        axes.append((i0, i1, 1.0 - t, t))
-    (ix0, ix1, ux, tx), (iy0, iy1, uy, ty) = axes
-    ix0 *= grid.ny
-    ix1 *= grid.ny
-    for k, (i, j, a, b) in enumerate(((ix0, iy0, ux, uy), (ix0, iy1, ux, ty),
-                                      (ix1, iy0, tx, uy), (ix1, iy1, tx, ty))):
-        np.add(i, j, out=idx[k])
-        np.multiply(a, b, out=w[k])
-
-
-def _stencil(grid: mx.Grid, x: np.ndarray, tsc: bool = False):
-    """Particle-grid shape function at positions x (n, 2): flat periodic node
-    indices ``i*ny + j`` and weights, each of shape (k, n).
-
-    The shape is the tensor product of 1D B-splines (Birdsall & Langdon):
-    linear for CIC (k = 4 nodes, see ``_cic``), quadratic for TSC (k = 9,
-    the three nodes around the nearest one per axis). Returns
-    ``(idx, w, wdx, wdy)``; for TSC ``wdx``/``wdy`` weigh the exact d/dx and
-    d/dy of the interpolant, for CIC they are None.
+def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
+             *dw: np.ndarray) -> None:
+    """Write the particle-grid shape at positions x (n, 2) into (k, n)
+    buffers: flat periodic node indices ``i*ny + j`` into ``idx``, weights
+    into ``w``. The shape is the tensor product of 1D B-splines (Birdsall &
+    Langdon), linear (CIC) for k = 4 and quadratic (TSC) for k = 9, with
+    m = 2 or 3 nodes per axis: node m a + b is (i + a, j + b), weight
+    wx_a * wy_b. CIC starts at the cell holding x, wx = (1 - tx, tx); TSC at
+    the node before the nearest one, and writes the weights of the exact
+    d/dx and d/dy of the interpolant into two more buffers ``dw``, if given.
     """
-    if not tsc:
-        idx, w = np.empty((4, len(x)), np.intp), np.empty((4, len(x)))
-        _cic(grid, x, idx, w)
-        return idx, w, None, None
+    m = {4: 2, 9: 3}[len(idx)]
     axes = []
     for c, (n, h) in enumerate(((grid.nx, grid.hx), (grid.ny, grid.hy))):
         f = x[:, c] / h
-        i0 = np.rint(f)
-        t = f - i0                       # signed offset from the nearest node
-        w = (0.5 * (0.5 - t) ** 2, 0.75 - t * t, 0.5 * (0.5 + t) ** 2)
-        d = np.stack([t - 0.5, -2.0 * t, t + 0.5]) / h
-        i0 -= 1                          # leftmost of the three nodes
-        idx = (i0.astype(np.intp) + np.arange(3)[:, None]) % n
-        axes.append((idx, np.stack(w), d))
+        if m == 2:
+            i = np.floor(f)
+            t = f - i
+            ws, ds = (1.0 - t, t), None
+        else:
+            i = np.rint(f)
+            t = f - i                    # signed offset from the nearest node
+            ws = (0.5 * (0.5 - t) ** 2, 0.75 - t * t, 0.5 * (0.5 + t) ** 2)
+            ds = ((t - 0.5) / h, (-2.0 * t) / h, (t + 0.5) / h)
+            i -= 1
+        # i is below 0 at a half-drift position in (-h, 0), and x / h rounds
+        # up to n just below the box
+        nodes = [i.astype(np.intp) % n]
+        for _ in range(1, m):
+            i1 = nodes[-1] + 1
+            i1[i1 == n] = 0
+            nodes.append(i1)
+        axes.append((nodes, ws, ds))
     (ix, wx, dx), (iy, wy, dy) = axes
-
-    def outer(a, b):
-        return (a[:, None] * b[None, :]).reshape(9, -1)
-
-    idx = (ix[:, None] * grid.ny + iy[None, :]).reshape(9, -1)
-    return idx, outer(wx, wy), outer(dx, wy), outer(wx, dy)
+    for a in range(m):
+        ix[a] *= grid.ny
+        for b in range(m):
+            k = m * a + b
+            np.add(ix[a], iy[b], out=idx[k])
+            np.multiply(wx[a], wy[b], out=w[k])
+            if dw:
+                np.multiply(dx[a], wy[b], out=dw[0][k])
+                np.multiply(wx[a], dy[b], out=dw[1][k])
 
 
 def _gather(arr: np.ndarray, idx: np.ndarray, *weights) -> list:
@@ -434,7 +424,7 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid,
         scale = 4.0 * np.pi / grid.cell
         blocks = phase._blocks(len(ens))
         for s in blocks:
-            _cic(grid, x[s], idx[:, s], q[:, s])
+            _stencil(grid, x[s], idx[:, s], q[:, s])
             q[:, s] *= scale * ens.w[s]
         nodes = idx.ravel()
         rho = np.bincount(nodes, weights=q.ravel(), minlength=size)
@@ -450,13 +440,15 @@ def deposit(ens: ParticleEnsemble, grid: mx.Grid,
 def gather_cic(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Bilinear (CIC) gather of grid arrays (..., nx, ny) at positions (n, 2),
     with the stencil of ``deposit``; returns (..., n)."""
-    idx, w, _, _ = _stencil(grid, x)
+    idx, w = np.empty((4, len(x)), np.intp), np.empty((4, len(x)))
+    _stencil(grid, x, idx, w)
     return _gather(arr, idx, w)[0]
 
 
 def gather_tsc(grid: mx.Grid, arr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Quadratic-spline gather of grid arrays (..., nx, ny) at positions (n, 2)."""
-    idx, w, _, _ = _stencil(grid, x, tsc=True)
+    idx, w = np.empty((9, len(x)), np.intp), np.empty((9, len(x)))
+    _stencil(grid, x, idx, w)
     return _gather(arr, idx, w)[0]
 
 
@@ -483,7 +475,9 @@ def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None):
     e_b3 = np.concatenate([fields.E, fields.B[2:]])
 
     def sampler(x):
-        idx, w, wdx, wdy = _stencil(grid, x, tsc=True)
+        idx = np.empty((9, len(x)), np.intp)
+        w, wdx, wdy = np.empty((3, 9, len(x)))
+        _stencil(grid, x, idx, w, wdx, wdy)
         g = _gather(e_b3, idx, w)[0]
         gx, gy = _gather(a3, idx, wdx, wdy)
         return g[:3].T, np.stack([gy, -gx, g[3]], axis=-1)

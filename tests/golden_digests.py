@@ -100,17 +100,9 @@ def run_digests(run: str, out_dir: Path) -> dict:
             for name in sorted(names)}
 
 
-def changed_digests(old: dict, new: dict) -> list:
-    """(run, output, old digest, new digest) for each output whose digest
-    differs between two ``outputs`` maps, with None for a missing one."""
-    return [(run, name, old.get(run, {}).get(name), new.get(run, {}).get(name))
-            for run in sorted(old.keys() | new.keys())
-            for name in sorted(old.get(run, {}).keys() | new.get(run, {}).keys())
-            if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
-
-
 def main() -> int:
-    old = json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists() else {}
+    old = (json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists()
+           else {})
     outputs = {}
     for run in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -119,8 +111,12 @@ def main() -> int:
                                    "outputs": outputs},
                                   indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
-    for run, name, was, now in changed_digests(old, outputs):
-        print(f"changed: {run}: {name}: {was} -> {now}")
+    for run in sorted(old.keys() | outputs.keys()):
+        was, now = old.get(run, {}), outputs.get(run, {})
+        for name in sorted(was.keys() | now.keys()):
+            if was.get(name) != now.get(name):
+                print(f"changed: {run}: {name}: "
+                      f"{was.get(name)} -> {now.get(name)}")
     return 0
 
 

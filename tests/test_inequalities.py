@@ -2,6 +2,7 @@
 momentum integrals, interpolation, Gronwall and Strichartz arithmetic."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -245,11 +246,26 @@ class TestGronwall:
         (lambda t: 1e200, 2.0, 1.0),      # g(0)^p overflows
     ])
     def test_march_matches_float64_scalars(self, M, p, T):
-        # an overflowed g, and M^p in the bound, warn as float64 arrays
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = ineq.gronwall_check(M, p, T, n_grid=3000)
+        _, _, g = ineq._saturate(M, p, T, 3000)
         ref = self._float64_march(M, p, T, 3000)
-        assert rep.details["g"].tobytes() == ref.tobytes()
+        assert g.tobytes() == ref.tobytes()
+
+    def test_overflowing_g_is_rejected_naming_where(self):
+        # g^3 leaves the float64 range from step 2,621 of 3,000, t = 87.37
+        t = float(np.linspace(0.0, 100.0, 3001)[2621])
+        with pytest.raises(ValueError, match=re.escape(
+                f"overflows float64 at t = {t!r} (p = 3.0, T = 100.0)")):
+            ineq.gronwall_check(lambda t: 2.0, 3.0, 100.0, n_grid=3000)
+
+    def test_capped_bound_is_decided_in_logarithms(self):
+        # M = 1, p = 1: g is about e^t, finite at T = 705 but above the
+        # 2 M exp(700) that the capped bound reads there
+        rep = ineq.gronwall_check(lambda t: 1.0, 1.0, 705.0, n_grid=3000)
+        t, g, bound = (rep.details[k] for k in ("t", "g", "bound"))
+        assert g[-1] > bound[-1]
+        assert rep.passed and rep.max_ratio == 0.5 and rep.witness["t"] == 0.0
+        # the ratio it decides on: log g - (log 2M + 4^p t M^p) at T
+        assert math.log(g[-1]) - math.log(2.0) - 4.0 * 705.0 < -2000.0
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):

@@ -264,10 +264,40 @@ class TestDeposit:
         (ix, wx), (iy, wy) = axes
         want_idx = (ix[:, None] * g.ny + iy[None, :]).reshape(4, -1)
         want_w = (wx[:, None] * wy[None, :]).reshape(4, -1)
-        idx, w, wdx, wdy = pic._stencil(g, x)
+        idx, w = np.empty((4, len(x)), np.intp), np.empty((4, len(x)))
+        pic._stencil(g, x, idx, w)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(w, want_w)
-        assert wdx is None and wdy is None
+
+        # the TSC shape at the same positions and at exact half-node ties,
+        # where rint rounds to even, against its outer-product form
+        tx = np.array([0.5, 1.5, 2.5, 4.5, 5.5]) * g.hx
+        ty = np.array([0.5, 2.5, 3.5, 4.5]) * g.hy
+        assert np.all(tx / g.hx % 1.0 == 0.5)
+        assert np.all(ty / g.hy % 1.0 == 0.5)
+        x = np.array([[a, b] for a in xs + list(tx) for b in ys + list(ty)])
+        axes = []
+        for c, (n, h) in enumerate(((g.nx, g.hx), (g.ny, g.hy))):
+            f = x[:, c] / h
+            i0 = np.rint(f)
+            t = f - i0
+            axes.append(((i0.astype(np.intp) - 1 + np.arange(3)[:, None]) % n,
+                         np.stack((0.5 * (0.5 - t) ** 2, 0.75 - t * t,
+                                   0.5 * (0.5 + t) ** 2)),
+                         np.stack((t - 0.5, -2.0 * t, t + 0.5)) / h))
+        (ix, wx, dx), (iy, wy, dy) = axes
+
+        def outer(a, b):
+            return (a[:, None] * b[None, :]).reshape(9, -1)
+
+        idx = np.empty((9, len(x)), np.intp)
+        w, wdx, wdy = np.empty((3, 9, len(x)))
+        pic._stencil(g, x, idx, w, wdx, wdy)
+        want_idx = (ix[:, None] * g.ny + iy[None, :]).reshape(9, -1)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(w, outer(wx, wy))
+        assert np.array_equal(wdx, outer(dx, wy))
+        assert np.array_equal(wdy, outer(wx, dy))
 
 
 def _central_inplane_b(g, a3, pos, h=1e-6):
