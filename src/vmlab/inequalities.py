@@ -388,8 +388,7 @@ def _saturate(M, p: float, T: float, n_grid: int):
     """The saturated g(t) = M(t) (1 + ||g||_{L^p([0,t))}) on n_grid steps of
     [0, T]: (t, M(t), g). The trapezoid discretization of I(t) = integral
     of g^p is marched one step at a time, each step solving its scalar
-    fixed point in Python floats (float64's bits, twice as fast). From the
-    first power that overflows on, g is inf."""
+    fixed point. From the first power that overflows on, g is inf."""
     if p < 1.0:
         raise ValueError("p must be >= 1")
     t = np.linspace(0.0, T, n_grid + 1)
@@ -397,7 +396,7 @@ def _saturate(M, p: float, T: float, n_grid: int):
     Mv = np.array([float(M(tk)) for tk in t])
     if np.any(Mv < 0) or np.any(np.diff(Mv) < -1e-12):
         raise ValueError("M must be nonnegative and nondecreasing")
-    Ms = Mv.tolist()
+    Ms = Mv.tolist()   # Python floats: float64's bits, twice as fast
     g = [Ms[0]]
     integral = 0.0   # integral of g^p up to t_k
     try:

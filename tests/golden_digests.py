@@ -86,8 +86,7 @@ def _fields_compare(out_dir: Path) -> list:
 RUNS = {"verify all --seed 3 --count 200000": _verify,
         "simulate golden_2d.json": _simulate("golden_2d"),
         "simulate golden_25d.json": _simulate("golden_25d"),
-        "simulate golden_repr.json": _simulate("golden_repr",
-                                                      "history.npz"),
+        "simulate golden_repr.json": _simulate("golden_repr", "history.npz"),
         "fields-compare <golden_repr run> --probes golden_repr_probes.json":
             _fields_compare}
 

@@ -206,6 +206,9 @@ class TestGronwall:
         (lambda t: 1.0 + t, 2.0, 3.0),
         (lambda t: 0.5 + 0.1 * t * t, 1.5, 2.0),
         (lambda t: 2.0, 3.0, 1.5),
+        # g is about e^t: finite at T, but above 2 M exp(700), where the
+        # exponent of the bound is capped, so decided in logarithms
+        (lambda t: 1.0, 1.0, 705.0),
     ])
     def test_additional_configurations(self, M, p, T):
         rep = ineq.gronwall_check(M, p, T, n_grid=3000)
@@ -256,16 +259,6 @@ class TestGronwall:
         with pytest.raises(ValueError, match=re.escape(
                 f"overflows float64 at t = {t!r} (p = 3.0, T = 100.0)")):
             ineq.gronwall_check(lambda t: 2.0, 3.0, 100.0, n_grid=3000)
-
-    def test_capped_bound_is_decided_in_logarithms(self):
-        # M = 1, p = 1: g is about e^t, finite at T = 705 but above the
-        # 2 M exp(700) that the capped bound reads there
-        rep = ineq.gronwall_check(lambda t: 1.0, 1.0, 705.0, n_grid=3000)
-        t, g, bound = (rep.details[k] for k in ("t", "g", "bound"))
-        assert g[-1] > bound[-1]
-        assert rep.passed and rep.max_ratio == 0.5 and rep.witness["t"] == 0.0
-        # the ratio it decides on: log g - (log 2M + 4^p t M^p) at T
-        assert math.log(g[-1]) - math.log(2.0) - 4.0 * 705.0 < -2000.0
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
