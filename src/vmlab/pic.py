@@ -351,15 +351,9 @@ def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
     axes = []
     for c, (n, h) in enumerate(((grid.nx, grid.hx), (grid.ny, grid.hy))):
         f = x[:, c] / h
-        if m == 2:
-            i = np.floor(f)
-            t = f - i
-            ws, ds = (1.0 - t, t), None
-        else:
-            i = np.rint(f)
-            t = f - i                    # signed offset from the nearest node
-            ws = (0.5 * (0.5 - t) ** 2, 0.75 - t * t, 0.5 * (0.5 + t) ** 2)
-            ds = ((t - 0.5) / h, (-2.0 * t) / h, (t + 0.5) / h)
+        i = np.floor(f) if m == 2 else np.rint(f)
+        t = f - i                        # TSC: signed, from the nearest node
+        if m == 3:
             i -= 1
         # i is below 0 at a half-drift position in (-h, 0), and x / h rounds
         # up to n just below the box
@@ -368,6 +362,11 @@ def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
             i1 = nodes[-1] + 1
             i1[i1 == n] = 0
             nodes.append(i1)
+        if m == 2:
+            ws, ds = (1.0 - t, t), None
+        else:
+            ws = (0.5 * (0.5 - t) ** 2, 0.75 - t * t, 0.5 * (0.5 + t) ** 2)
+            ds = ((t - 0.5) / h, (-2.0 * t) / h, (t + 0.5) / h)
         axes.append((nodes, ws, ds))
     (ix, wx, dx), (iy, wy, dy) = axes
     for a in range(m):
