@@ -217,7 +217,7 @@ class TestGronwall:
 
     @staticmethod
     def _float64_march(M, p, T, n_grid):
-        """The saturated g of ``gronwall_check`` for p > 1, marched on NumPy
+        """The saturated g of ``_saturate`` for p > 1, marched on NumPy
         float64 scalars: the reference for its Python-float march. A power
         that overflows is inf here, where a Python float raises."""
         t = np.linspace(0.0, T, n_grid + 1)
