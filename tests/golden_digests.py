@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -83,12 +84,38 @@ def _fields_compare(out_dir: Path) -> list:
     return ["compare.json", "stdout"]
 
 
+# golden_25d, short and small, with its history stored: the 2.5d history
+# file and the 2.5d cone sums of fields-compare
+HISTORY_25D = dict(json.loads((SCENARIOS / "golden_25d.json").read_text()),
+                   store_history=True, t_final=0.5, n_particles=4000)
+PROBES_25D = [{"t": 0.5, "x": [10.0 + 4.0 * math.cos(math.pi * k / 3),
+                               10.0 + 4.0 * math.sin(math.pi * k / 3)]}
+              for k in range(6)]
+
+
+def _history_25d(out_dir: Path) -> list:
+    """``simulate`` of ``HISTORY_25D``, then ``fields-compare`` of its run
+    at ``PROBES_25D``."""
+    run_dir = out_dir / "run"
+    for name, obj in (("scenario.json", HISTORY_25D),
+                      ("probes.json", PROBES_25D)):
+        (out_dir / name).write_text(json.dumps(obj, sort_keys=True))
+    _run_cli(["simulate", str(out_dir / "scenario.json"),
+              "--out", str(run_dir)], out_dir / "simulate.stdout")
+    _run_cli(["fields-compare", str(run_dir),
+              "--probes", str(out_dir / "probes.json"),
+              "--out", str(out_dir / "compare.json")], out_dir / "stdout")
+    return ["run/history.npz", "simulate.stdout", "compare.json", "stdout"]
+
+
 RUNS = {"verify all --seed 3 --count 200000": _verify,
         "simulate golden_2d.json": _simulate("golden_2d"),
         "simulate golden_25d.json": _simulate("golden_25d"),
         "simulate golden_repr.json": _simulate("golden_repr", "history.npz"),
         "fields-compare <golden_repr run> --probes golden_repr_probes.json":
-            _fields_compare}
+            _fields_compare,
+        "simulate + fields-compare <short golden_25d with history>":
+            _history_25d}
 
 
 def run_digests(run: str, out_dir: Path) -> dict:
