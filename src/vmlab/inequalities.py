@@ -432,15 +432,21 @@ def gronwall_check(M, p: float, T: float, n_grid: int = 10_000) -> IneqReport:
     g is the maximal function satisfying the hypothesis, so the bound
     holding for it implies it for the whole class. ``details["bound"]``
     caps the exponent at 700; past the cap each point is decided in
-    logarithms, log g <= log 2M + 4^p t M^p. A g that overflows float64
-    raises ValueError naming the first t at which it does.
+    logarithms, log g <= log 2M + 4^p t M^p. Where 4^p itself overflows
+    (p >= 512), the exponent (4M)^p t is taken from its logarithm. A g
+    that overflows float64 raises ValueError naming the first t at which
+    it does.
     """
     t, Mv, g = _saturate(M, p, T, n_grid)
     over = np.flatnonzero(np.isinf(g))
     if over.size:
         raise ValueError(f"the saturated g overflows float64 at "
                          f"t = {float(t[over[0]])!r} (p = {p!r}, T = {T!r})")
-    expo = 4.0 ** p * t * Mv ** p
+    try:
+        expo = 4.0 ** p * t * Mv ** p
+    except OverflowError:       # 4^p past float64 (p >= 512): (4M)^p t
+        with np.errstate(divide="ignore", over="ignore"):
+            expo = np.exp(p * np.log(4.0 * Mv) + np.log(t))
     bound = 2.0 * Mv * np.exp(np.minimum(expo, 700.0))
     ratio = g / np.maximum(bound, 1e-300)
     cap = expo > 700.0

@@ -362,48 +362,35 @@ def _history_index(history: "pic.RunHistory", t: float) -> int:
     return k
 
 
-def _free_positions(history: "pic.RunHistory", k: int, box: np.ndarray):
-    """Force-free trajectories from the initial ensemble: straight lines with
-    the initial velocities, wrapped into the box: (k + 1, n, 2)."""
-    p = history.part_p[0]
-    phat = p[:, :2] / p0_of(p)[:, None]
-    return pic.wrap_box(
-        history.part_x[0] + history.times[:k + 1, None, None] * phat, box)
+def _free_positions(history: "pic.RunHistory", phat: np.ndarray, j: int,
+                    box: np.ndarray) -> np.ndarray:
+    """Stored step j of the force-free flow of the initial ensemble: the
+    straight lines with the initial in-plane velocities ``phat`` (n, 2),
+    wrapped into the box: (n, 2). One step at a time, so that the flow is
+    never held whole; each element takes the operations of a broadcast over
+    all steps, so the bits are the same."""
+    return pic.wrap_box(history.part_x[0] + history.times[j] * phat, box)
 
 
-def _free_field_rerun(history: "pic.RunHistory", k: int, free_x):
-    """Grid Maxwell evolution from the stored initial fields with the currents
-    of the force-free flow, using the same split-step structure as the PIC
-    loop (half step with the old current, half step with the new one)."""
-    grid = history.grid
-    box = np.array([grid.lx, grid.ly])
-    fields = mx.FieldState(history.mode, grid, history.E[0], history.B[0])
-    work = pic.deposit_work(len(history.w))
-
-    def current_at(j):
-        ens = pic.ParticleEnsemble(x=free_x[j], w=history.w,
-                                   p=history.part_p[0], box=box)
-        return pic.deposit(ens, grid, work)[1]
-
-    cur = current_at(0)
-    for j in range(k):
-        dt = history.times[j + 1] - history.times[j]
-        fields = mx.step_maxwell(fields, cur, 0.5 * dt)
-        cur = current_at(j + 1)
-        fields = mx.step_maxwell(fields, cur, 0.5 * dt)
-    return fields
-
-
-def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
-    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3)."""
-    eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
+def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
+               xs: np.ndarray):
+    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3).
+    In 2d mode only E1, E2 and B3 are gathered; E3, B1 and B2 are +0.0, as
+    a gather of the zero grids that ``FieldState`` and ``RunHistory``
+    require gives."""
+    if mode == "2d":
+        eb = np.zeros((len(xs), 6))
+        eb[:, [0, 1, 5]] = pic.gather_cic(
+            grid, np.stack([E[0], E[1], B[2]]), xs).T
+    else:
+        eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
     return eb[:, :3], eb[:, 3:]
 
 
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
-    k = _history_index(history, t)
-    E, B = _gather_eb(history.grid, history.E[k], history.B[k],
+    k, h = _history_index(history, t), history
+    E, B = _gather_eb(h.mode, h.grid, h.E[k], h.B[k],
                       np.asarray(x, dtype=float).reshape(1, 2))
     return E[0], B[0]
 
@@ -448,40 +435,56 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     the particle-discretization error cancelling between the two T sums.
 
     ``x`` is a stack (m, 2) of probes at the same t, which gives a list of m
-    reports. The force-free flow and its grid re-run are built once for the
-    stack, and the slabs are walked once: at each stored step and for each
-    flow, the cone rows of all probes are found together (an x1 strip, then
-    the x2 cut of ``_cone_rows``), gathered and put through the kernels once,
-    and then summed per probe. Raises ``ValueError`` when a probe sits on a
-    particle (see ``_cone_rows``).
+    reports. The stored steps are walked once, in order, for the whole
+    stack: at each step the force-free positions are made, their current
+    advances the grid re-run (half a step with the last step's current, half
+    with this one's, as in the PIC loop), and, for each flow, the cone rows
+    of all probes are found together (an x1 strip, then the x2 cut of
+    ``_cone_rows``), gathered and put through the kernels once, and then
+    summed per probe. Beside the history, only one step of the force-free
+    flow is held. Raises ``ValueError`` when a probe sits on a particle (see
+    ``_cone_rows``).
     """
     probes = np.asarray(x, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2:
         raise ValueError(f"x must have shape (m, 2), got {probes.shape}")
     k = _history_index(history, t)
-    box = np.array([history.grid.lx, history.grid.ly])
-    free_x = _free_positions(history, k, box)
-    g_fields = _free_field_rerun(history, k, free_x)
-    grid, w = history.grid, history.w
+    mode, grid, times, w = history.mode, history.grid, history.times, history.w
+    box = np.array([grid.lx, grid.ly])
+    p_free = history.part_p[0]
+    phat = p_free[:, :2] / p0_of(p_free)[:, None]
+    g_fields = mx.FieldState(mode, grid, history.E[0], history.B[0])
+    work = pic.deposit_work(len(w))
+    # the cone ends at the stored time the probe t was matched to
+    slabs = {j: tau for j, *tau in _cone_slabs(times, float(times[k]))}
     sums = np.zeros((len(probes), 14))
     free_sums = np.zeros((len(probes), 14))
-    # the cone ends at the stored time the probe t was matched to
-    for j, tau_lo, tau_hi in _cone_slabs(history.times,
-                                         float(history.times[k])):
+    for j in range(k + 1):
+        free_x = _free_positions(history, phat, j, box)
+        if j:
+            half = 0.5 * (times[j] - times[j - 1])
+            g_fields = mx.step_maxwell(g_fields, cur, half)
+        cur = pic.deposit(pic.ParticleEnsemble(x=free_x, w=w, p=p_free,
+                                               box=box), grid, work)[1]
+        if j:
+            g_fields = mx.step_maxwell(g_fields, cur, half)
+        if j not in slabs:
+            continue
+        tau_lo, tau_hi = slabs[j]
         X = history.part_x[j]
         c, bounds = _cone_rows(X, _strip_index(X), t, probes, box, tau_lo,
                                tau_hi)
         if c.idx.size:
-            eb = _gather_eb(grid, history.E[j], history.B[j], X[c.idx])
-            sums += _slab_sums(history.mode, c, bounds,
-                               history.part_p[j][c.idx], w[c.idx], eb)
-        c, bounds = _cone_rows(free_x[j], _strip_index(free_x[j]), t, probes,
-                               box, tau_lo, tau_hi)
+            eb = _gather_eb(mode, grid, history.E[j], history.B[j], X[c.idx])
+            sums += _slab_sums(mode, c, bounds, history.part_p[j][c.idx],
+                               w[c.idx], eb)
+        c, bounds = _cone_rows(free_x, _strip_index(free_x), t, probes, box,
+                               tau_lo, tau_hi)
         if c.idx.size:
-            free_sums += _slab_sums(history.mode, c, bounds,
-                                    history.part_p[0][c.idx], w[c.idx], None)
+            free_sums += _slab_sums(mode, c, bounds, p_free[c.idx], w[c.idx],
+                                    None)
 
-    g_E, g_B = _gather_eb(g_fields.grid, g_fields.E, g_fields.B, probes)
+    g_E, g_B = _gather_eb(mode, grid, g_fields.E, g_fields.B, probes)
     data_E = g_E - free_sums[:, 0:3]
     data_B = g_B - free_sums[:, 3:6]
     # the slab sums are laid out in the report's field order from E_T on

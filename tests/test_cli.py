@@ -330,6 +330,7 @@ class TestFieldsCompare:
 
     _GRID = "grid: must be two positive integers and two positive finite lengths"
     _TIMES = "times: must be finite, strictly increasing from 0"
+    _PLANAR = "2d mode requires {} = 0, got a nonzero one at step {}"
 
     @staticmethod
     def _set(key, index, value):
@@ -354,9 +355,14 @@ class TestFieldsCompare:
          _TIMES + ", got times[0] = 0.3"),
         (lambda a: a.update(times=a["times"] + 0.05),
          _TIMES + ", got times[0] = 0.05"),
+        # out-of-plane fields at a late step were once accepted silently
+        (_set("E", (5, 2, 3, 4), 1e-3), "E: " + _PLANAR.format("E3", 5)),
+        (_set("E", (0, 2, 0, 0), -1.0), "E: " + _PLANAR.format("E3", 0)),
+        (_set("B", (6, 1, 23, 0), 1e-300),
+         "B: " + _PLANAR.format("B1 = B2", 6)),
     ], ids=["junk", "no_part_p", "part_p_3d", "grid_fraction", "lx_zero",
             "lx_nan", "lx_negative", "times_nan", "times_descending",
-            "times_late_start"])
+            "times_late_start", "e3_late", "e3_first", "b2_last"])
     def test_malformed_history_is_usage_error(self, history_run, tmp_path,
                                               capsys, damage, message):
         run_dir = tmp_path / "run"

@@ -209,6 +209,9 @@ class TestGronwall:
         # g is about e^t: finite at T, but above 2 M exp(700), where the
         # exponent of the bound is capped, so decided in logarithms
         (lambda t: 1.0, 1.0, 705.0),
+        # 4^p overflows float64 (p >= 512) though (4M)^p t is tiny, so the
+        # exponent is taken from its logarithm
+        (lambda t: 0.1, 600.0, 1.0),
     ])
     def test_additional_configurations(self, M, p, T):
         rep = ineq.gronwall_check(M, p, T, n_grid=3000)

@@ -4,6 +4,7 @@ gathering, the coupled time loop, and its conservation reports."""
 import dataclasses
 import json
 import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -604,6 +605,46 @@ class TestSeriesAndHistory:
         back.save_npz(again)
         assert f.read_bytes() == again.read_bytes()
 
+    @pytest.mark.parametrize("cfg", [
+        small_cfg, small_cfg_25d,
+        lambda **over: small_cfg(n_particles=0, **over),
+    ], ids=["2d", "2.5d", "no_particles"])
+    def test_history_npz_is_the_savez_archive(self, cfg, tmp_path):
+        # np.savez of the same arrays, 0-d mode and empty arrays included,
+        # is the oracle
+        scn = pic.scenario_from_dict(cfg(t_final=0.2, store_history=True),
+                                     path="inline")
+        h = pic.run(scn).history
+        g = h.grid
+        ours, oracle = tmp_path / "h.npz", tmp_path / "oracle.npz"
+        h.save_npz(ours)
+        np.savez(oracle, mode=h.mode, grid=np.array([g.nx, g.ny, g.lx, g.ly]),
+                 times=h.times, E=h.E, B=h.B, part_x=h.part_x,
+                 part_p=h.part_p, w=h.w)
+        assert ours.read_bytes() == oracle.read_bytes()
+        back = pic.RunHistory.load_npz(ours)
+        assert (back.mode, back.grid) == (h.mode, h.grid)
+        for key in ("times", "E", "B", "part_x", "part_p", "w"):
+            assert np.array_equal(getattr(back, key), getattr(h, key)), key
+
+    def test_save_npz_peak_below_one_step(self, tmp_path):
+        # np.savez copies part_x and part_p whole while it writes them;
+        # save_npz writes each array from its own buffer
+        k, n, grid = 40, 20_000, mx.Grid(32, 32, 20.0, 20.0)
+        h = pic.RunHistory(
+            mode="2d", grid=grid, times=0.05 * np.arange(k),
+            E=np.zeros((k, 3, 32, 32)), B=np.zeros((k, 3, 32, 32)),
+            part_x=np.zeros((k, n, 2)), part_p=np.zeros((k, n, 2)),
+            w=np.full(n, 1.0 / n))
+        step = sum(a[0].nbytes for a in (h.E, h.B, h.part_x, h.part_p))
+        tracemalloc.start()
+        try:
+            h.save_npz(tmp_path / "h.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < step + 2 ** 20, f"{peak / step:.1f} steps"
+
     @pytest.mark.parametrize("key,shape", [
         ("E", (5, 3, 32, 31)), ("B", (4, 3, 32, 32)),
         ("part_x", (5, 3000, 3)), ("part_p", (5, 3000, 3)),
@@ -616,6 +657,24 @@ class TestSeriesAndHistory:
         h = pic.run(scn).history
         with pytest.raises(ValueError, match=f"^{key}: "):
             dataclasses.replace(h, **{key: np.zeros(shape)})
+
+
+    @pytest.mark.parametrize("key,index,message", [
+        ("E", (3, 2, 0, 5), "E: 2d mode requires E3 = 0, got a nonzero one "
+                            "at step 3"),
+        ("B", (0, 0, 7, 7), "B: 2d mode requires B1 = B2 = 0, got a nonzero "
+                            "one at step 0"),
+    ])
+    def test_planar_history_has_no_out_of_plane_fields(self, key, index,
+                                                       message):
+        scn = pic.scenario_from_dict(small_cfg(t_final=0.2,
+                                               store_history=True),
+                                     path="inline")
+        h = pic.run(scn).history
+        arr = getattr(h, key).copy()
+        arr[index] = -1e-300
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(h, **{key: arr})
 
 
 class TestForceFree:

@@ -5,6 +5,7 @@ weights, and the field representation."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -439,6 +440,20 @@ def _two_step_history(x_first, x_last):
                           part_p=np.stack([p, p]), w=np.full(2, 0.01))
 
 
+def _random_history(k, n, seed=0):
+    """A 2d history of k stored steps, dt = 0.02, of n particles at random
+    positions and momenta on a 32^2 grid with random E1, E2 and B3."""
+    rng = np.random.default_rng(seed)
+    E, B = np.zeros((2, k, 3, 32, 32))
+    E[:, :2] = 0.01 * rng.standard_normal((k, 2, 32, 32))
+    B[:, 2] = 0.01 * rng.standard_normal((k, 32, 32))
+    return pic.RunHistory(
+        mode="2d", grid=mx.Grid(32, 32, 20.0, 20.0),
+        times=0.02 * np.arange(k), E=E, B=B,
+        part_x=20.0 * rng.random((k, n, 2)),
+        part_p=0.5 * rng.standard_normal((k, n, 2)), w=np.full(n, 1.0 / n))
+
+
 def _ring(n=6, radius=2.2):
     return [(10.0 + radius * math.cos(ang), 10.0 + radius * math.sin(ang))
             for ang in np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)]
@@ -560,3 +575,45 @@ class TestRepresentation:
         with pytest.raises(ValueError, match=r"t=0\.05 x=\[10\.0, 10\.0\]"):
             rt.field_from_representation(h, 0.05, [(10.0, 10.0)])
 
+
+class TestFreeFlow:
+    def test_steps_are_the_broadcast_flow(self):
+        # one step at a time, with the bits of the whole flow at once
+        h = _random_history(9, 500)
+        h.part_x[0, :3] = [[-1e-17, 5.0], [19.999999999999996, 0.0],
+                           [0.0, -0.0]]
+        box = np.array([20.0, 20.0])
+        p = h.part_p[0]
+        phat = p / np.sqrt(1.0 + np.sum(p * p, axis=1))[:, None]
+        whole = pic.wrap_box(h.part_x[0] + h.times[:, None, None] * phat,
+                             box)
+        for j in range(len(h.times)):
+            got = rt._free_positions(h, phat, j, box)
+            assert got.tobytes() == whole[j].tobytes(), j
+
+    def test_planar_gather_is_the_six_component_gather(self):
+        h = _random_history(2, 10)
+        x = np.random.default_rng(1).random((300, 2)) * 20.0
+        got = rt._gather_eb("2d", h.grid, h.E[1], h.B[1], x)
+        full = pic.gather_cic(h.grid, np.concatenate([h.E[1], h.B[1]]), x).T
+        assert np.concatenate(got, axis=1).tobytes() == full.tobytes()
+
+
+class TestMemoryBudget:
+    """field_from_representation holds the history and one stored step of
+    the force-free flow, so its peak does not grow with the number of
+    steps: the deposit buffers (six steps' positions in bytes), a step's
+    positions with their wrap, the x-sorted strip and the cone rows."""
+
+    def test_peak_below_16_steps_of_positions(self):
+        h = _random_history(41, 20_000)
+        probes = _ring(2)
+        rt.field_from_representation(h, h.times[-1], probes)   # warm up
+        tracemalloc.start()
+        try:
+            rt.field_from_representation(h, h.times[-1], probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step = h.part_x[0].nbytes
+        assert peak < 16 * step + 2 ** 20, f"{peak / step:.1f} steps"
