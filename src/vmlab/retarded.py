@@ -378,20 +378,17 @@ def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
     In 2d mode only E1, E2 and B3 are gathered; E3, B1 and B2 are +0.0, as
     a gather of the zero grids that ``FieldState`` and ``RunHistory``
     require gives."""
-    if mode == "2d":
-        eb = np.zeros((len(xs), 6))
-        eb[:, [0, 1, 5]] = pic.gather_cic(
-            grid, np.stack([E[0], E[1], B[2]]), xs).T
-    else:
-        eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
+    live = [0, 1, 5] if mode == "2d" else slice(None)
+    eb = np.zeros((len(xs), 6))
+    eb[:, live] = pic.gather_cic(grid, np.concatenate([E, B])[live], xs).T
     return eb[:, :3], eb[:, 3:]
 
 
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
-    k, h = _history_index(history, t), history
-    E, B = _gather_eb(h.mode, h.grid, h.E[k], h.B[k],
-                      np.asarray(x, dtype=float).reshape(1, 2))
+    k = _history_index(history, t)
+    E, B = _gather_eb(history.mode, history.grid, history.E[k],
+                      history.B[k], np.asarray(x, dtype=float).reshape(1, 2))
     return E[0], B[0]
 
 

@@ -658,7 +658,6 @@ class TestSeriesAndHistory:
         with pytest.raises(ValueError, match=f"^{key}: "):
             dataclasses.replace(h, **{key: np.zeros(shape)})
 
-
     @pytest.mark.parametrize("key,index,message", [
         ("E", (3, 2, 0, 5), "E: 2d mode requires E3 = 0, got a nonzero one "
                             "at step 3"),
