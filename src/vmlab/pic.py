@@ -567,11 +567,11 @@ class RunHistory:
         self.part_p[k] = ens.p
 
     def save_npz(self, path) -> None:
-        """Write the archive that ``np.savez`` writes, byte for byte, member
-        by member in ``_HISTORY_KEYS`` order, each from its array's own
-        buffer: ``np.savez`` copies an array in chunks of up to 16 MiB, so
-        ``part_x`` and ``part_p`` whole. Uncompressed: zlib would cost more
-        time than the 22% of bytes it saves. ``load_npz`` reads either
+        """Write the archive that ``np.savez`` writes of C-contiguous arrays,
+        member by member in ``_HISTORY_KEYS`` order, each from its array's
+        own buffer: ``np.savez`` copies an array in chunks of up to 16 MiB,
+        so ``part_x`` and ``part_p`` whole. Uncompressed: zlib would cost
+        more time than the 22% of bytes it saves. ``load_npz`` reads either
         form."""
         g, fmt = self.grid, np.lib.format
         arrays = {**vars(self), "grid": np.array([g.nx, g.ny, g.lx, g.ly])}

@@ -458,13 +458,13 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     free_sums = np.zeros((len(probes), 14))
     for j in range(k + 1):
         free_x = _free_positions(history, phat, j, box)
-        if j:
-            half = 0.5 * (times[j] - times[j - 1])
-            g_fields = mx.step_maxwell(g_fields, cur, half)
-        cur = pic.deposit(pic.ParticleEnsemble(x=free_x, w=w, p=p_free,
+        new = pic.deposit(pic.ParticleEnsemble(x=free_x, w=w, p=p_free,
                                                box=box), grid, work)[1]
         if j:
-            g_fields = mx.step_maxwell(g_fields, cur, half)
+            half = 0.5 * (times[j] - times[j - 1])
+            g_fields = mx.step_maxwell(mx.step_maxwell(g_fields, cur, half),
+                                       new, half)
+        cur = new
         if j not in slabs:
             continue
         tau_lo, tau_hi = slabs[j]
