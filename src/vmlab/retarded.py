@@ -378,12 +378,9 @@ def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
     In 2d mode only E1, E2 and B3 are gathered; E3, B1 and B2 are +0.0, as
     a gather of the zero grids that ``FieldState`` and ``RunHistory``
     require gives."""
-    if mode == "2d":
-        eb = np.zeros((len(xs), 6))
-        eb[:, [0, 1, 5]] = pic.gather_cic(
-            grid, np.stack([E[0], E[1], B[2]]), xs).T
-    else:
-        eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
+    live = [0, 1, 5] if mode == "2d" else slice(None)
+    eb = np.zeros((len(xs), 6))
+    eb[:, live] = pic.gather_cic(grid, np.concatenate([E, B])[live], xs).T
     return eb[:, :3], eb[:, 3:]
 
 
@@ -461,13 +458,13 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     free_sums = np.zeros((len(probes), 14))
     for j in range(k + 1):
         free_x = _free_positions(history, phat, j, box)
-        if j:
-            half = 0.5 * (times[j] - times[j - 1])
-            g_fields = mx.step_maxwell(g_fields, cur, half)
-        cur = pic.deposit(pic.ParticleEnsemble(x=free_x, w=w, p=p_free,
+        new = pic.deposit(pic.ParticleEnsemble(x=free_x, w=w, p=p_free,
                                                box=box), grid, work)[1]
         if j:
-            g_fields = mx.step_maxwell(g_fields, cur, half)
+            half = 0.5 * (times[j] - times[j - 1])
+            g_fields = mx.step_maxwell(mx.step_maxwell(g_fields, cur, half),
+                                       new, half)
+        cur = new
         if j not in slabs:
             continue
         tau_lo, tau_hi = slabs[j]
