@@ -372,23 +372,17 @@ def _free_positions(history: "pic.RunHistory", phat: np.ndarray, j: int,
     return pic.wrap_box(history.part_x[0] + history.times[j] * phat, box)
 
 
-def _gather_eb(mode: str, grid: mx.Grid, E: np.ndarray, B: np.ndarray,
-               xs: np.ndarray):
-    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3).
-    In 2d mode only E1, E2 and B3 are gathered; E3, B1 and B2 are +0.0, as
-    a gather of the zero grids that ``FieldState`` and ``RunHistory``
-    require gives."""
-    live = [0, 1, 5] if mode == "2d" else slice(None)
-    eb = np.zeros((len(xs), 6))
-    eb[:, live] = pic.gather_cic(grid, np.concatenate([E, B])[live], xs).T
+def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
+    """CIC gather of E and B (3, nx, ny) at positions (n, 2): two (n, 3)."""
+    eb = pic.gather_cic(grid, np.concatenate([E, B]), xs).T
     return eb[:, :3], eb[:, 3:]
 
 
 def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Grid-solver fields (E, B) at a probe, interpolated from the history."""
     k = _history_index(history, t)
-    E, B = _gather_eb(history.mode, history.grid, history.E[k],
-                      history.B[k], np.asarray(x, dtype=float).reshape(1, 2))
+    E, B = _gather_eb(history.grid, history.E[k], history.B[k],
+                      np.asarray(x, dtype=float).reshape(1, 2))
     return E[0], B[0]
 
 
@@ -472,7 +466,7 @@ def field_from_representation(history: "pic.RunHistory", t: float,
         c, bounds = _cone_rows(X, _strip_index(X), t, probes, box, tau_lo,
                                tau_hi)
         if c.idx.size:
-            eb = _gather_eb(mode, grid, history.E[j], history.B[j], X[c.idx])
+            eb = _gather_eb(grid, history.E[j], history.B[j], X[c.idx])
             sums += _slab_sums(mode, c, bounds, history.part_p[j][c.idx],
                                w[c.idx], eb)
         c, bounds = _cone_rows(free_x, _strip_index(free_x), t, probes, box,
@@ -481,7 +475,7 @@ def field_from_representation(history: "pic.RunHistory", t: float,
             free_sums += _slab_sums(mode, c, bounds, p_free[c.idx], w[c.idx],
                                     None)
 
-    g_E, g_B = _gather_eb(mode, grid, g_fields.E, g_fields.B, probes)
+    g_E, g_B = _gather_eb(grid, g_fields.E, g_fields.B, probes)
     data_E = g_E - free_sums[:, 0:3]
     data_B = g_B - free_sums[:, 3:6]
     # the slab sums are laid out in the report's field order from E_T on

@@ -591,13 +591,6 @@ class TestFreeFlow:
             got = rt._free_positions(h, phat, j, box)
             assert got.tobytes() == whole[j].tobytes(), j
 
-    def test_planar_gather_is_the_six_component_gather(self):
-        h = _random_history(2, 10)
-        x = np.random.default_rng(1).random((300, 2)) * 20.0
-        got = rt._gather_eb("2d", h.grid, h.E[1], h.B[1], x)
-        full = pic.gather_cic(h.grid, np.concatenate([h.E[1], h.B[1]]), x).T
-        assert np.concatenate(got, axis=1).tobytes() == full.tobytes()
-
 
 class TestMemoryBudget:
     """field_from_representation holds the history and one stored step of
