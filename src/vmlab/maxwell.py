@@ -9,7 +9,8 @@ modes are supported:
 
 Spatial derivatives are spectral (FFT), so the divergence constraints and
 Poisson solves are exact at grid scale; no other module transforms, and a
-grid's gradient wavenumbers and k^2 live in one table, ``Grid.k_table``.
+grid's gradient wavenumbers and k^2 live in one table, ``Grid.k_table``,
+and the time step's factors in another, ``Grid.propagator``.
 The time step applies the exact per-Fourier-mode propagator of the curl
 system with the current held constant over the step (Duhamel), which
 conserves source-free field energy to machine precision. With k3 = 0 it
@@ -95,6 +96,37 @@ class Grid:
             a.flags.writeable = False
         return table
 
+    def propagator(self, dt: float) -> tuple:
+        """Read-only Fourier factors of ``step_maxwell`` for a step of dt,
+        each (nx, ny): the unit wavevector (k1, k2) = k / |k| from
+        ``wavenumbers`` (0 at k = 0), c = cos(|k| dt), isn = i sin(|k| dt),
+        sk = sin(|k| dt) / |k| (dt at k = 0) and ick = i (1 - cos(|k| dt))
+        / |k| (0 at k = 0).
+
+        The grid keeps the table of the last dt only, and builds a new one
+        when dt differs from it in any bit: a run steps by one dt over and
+        over, and a step whose dt changes every time builds no more than
+        it did without the table.
+        """
+        key = float(dt).hex()
+        last = self.__dict__.get("_propagator")
+        if last is None or last[0] != key:
+            kx, ky = self.wavenumbers()
+            kmag = np.sqrt(kx * kx + ky * ky)
+            nz = kmag > 0.0
+            ksafe = np.where(nz, kmag, 1.0)
+            c = np.cos(kmag * dt)
+            s = np.sin(kmag * dt)
+            table = (np.where(nz, kx / ksafe, 0.0),
+                     np.where(nz, ky / ksafe, 0.0), c, 1j * s,
+                     np.where(nz, s / ksafe, dt),
+                     1j * np.where(nz, (1.0 - c) / ksafe, 0.0))
+            for a in table:
+                a.flags.writeable = False
+            last = (key, table)
+            object.__setattr__(self, "_propagator", last)  # a frozen class
+        return last[1]
+
     def mesh(self):
         x = (np.arange(self.nx) + 0.0) * self.hx
         y = (np.arange(self.ny) + 0.0) * self.hy
@@ -166,6 +198,10 @@ def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
     constant current enters through the closed-form Duhamel term; the
     longitudinal electric part integrates dE/dt = -j exactly. Only 2.5d
     steps the TM triple (B1, B2, E3); in 2d it stays 0 and j3 is not read.
+    The per-mode factors come from ``Grid.propagator``, which the grid keeps
+    while dt is unchanged. Each component keeps its own ``fft2`` call: one
+    call on the stacked components has the same bits but was slower, and
+    its larger temporaries raised peak RSS.
 
     A CFL-style precondition dt <= min(hx, hy) is enforced before
     stepping (the propagator itself is unconditionally stable; the check
@@ -185,18 +221,7 @@ def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
     if dt > h * (1.0 + 1e-12):
         raise ValueError(f"time step dt={dt} violates dt <= h = {h}")
 
-    kx, ky = g.wavenumbers()
-    kmag = np.sqrt(kx * kx + ky * ky)
-    nz = kmag > 0.0
-    ksafe = np.where(nz, kmag, 1.0)
-    k1 = np.where(nz, kx / ksafe, 0.0)                # k / |k|, 0 at k = 0
-    k2 = np.where(nz, ky / ksafe, 0.0)
-    c = np.cos(kmag * dt)
-    s = np.sin(kmag * dt)
-    sk = np.where(nz, s / ksafe, dt)                  # sin(k dt)/k -> dt
-    ick = 1j * np.where(nz, (1.0 - c) / ksafe, 0.0)   # (1-cos(k dt))/k -> 0
-    isn = 1j * s
-
+    k1, k2, c, isn, sk, ick = g.propagator(dt)
     E = np.zeros((3, g.nx, g.ny))
     B = np.zeros((3, g.nx, g.ny))
     b3 = _fft2(fields.B[2])
@@ -385,7 +410,7 @@ def save_field(fields: FieldState, time: float, path) -> None:
                  f"lx={float(g.lx)!r} ly={float(g.ly)!r} "
                  f"time={float(time)!r}\n")
         for arr in (*fields.E, *fields.B):
-            fh.write(",".join(repr(float(v)) for v in arr.ravel(order="C")))
+            fh.write(",".join(map(repr, arr.ravel(order="C").tolist())))
             fh.write("\n")
 
 

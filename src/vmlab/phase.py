@@ -256,12 +256,13 @@ def save_ensemble(ens: ParticleEnsemble, path) -> None:
         fh.write(",".join(["x1", "x2"] + [f"p{i+1}" for i in range(ens.dim_p)]
                           + ["w"]) + "\n")
         # a block at a time: as Python floats, every row at once would hold
-        # about 250 bytes per row (25 MB for 100k particles)
+        # about 250 bytes per row (25 MB for 100k particles); each block is
+        # one % of its rows' "%r,...,%r\n" lines, and %r of a float is repr
+        line = ",".join(["%r"] * (3 + ens.dim_p)) + "\n"
         for i in range(0, len(ens), _SAVE_BLOCK):
             rows = slice(i, i + _SAVE_BLOCK)
             block = np.column_stack([ens.x[rows], ens.p[rows], ens.w[rows]])
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in block.tolist())
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_ensemble(path) -> ParticleEnsemble:

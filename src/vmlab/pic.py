@@ -20,6 +20,8 @@ whole-ensemble temporaries; the deposit writes its stencil into node-major
 (4, n) buffers that a run allocates once (``deposit_work``) and sums each
 grid array with one ``bincount`` over all of them. Every operation is
 elementwise within a block, so the block size changes no bit of any result.
+A run's positions and momenta are column-ordered after the first step, so
+each block's columns are contiguous for the push, the stencil and the wrap.
 
 Everything is deterministic for a fixed (config, seed): sampling uses a
 seeded generator, reductions have fixed order.
@@ -346,6 +348,12 @@ def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
     wx_a * wy_b. CIC starts at the cell holding x, wx = (1 - tx, tx); TSC at
     the node before the nearest one, and writes the weights of the exact
     d/dx and d/dy of the interpolant into two more buffers ``dw``, if given.
+
+    Node indices wrap as ``wrap_box`` wraps positions: one add or subtract
+    of the axis' node count n, on the floored index while it is a float,
+    and ``%`` only for an index still outside [0, n). The indices are those
+    of ``% n`` for |x / h| < 2**53, on every grid size. x is read one
+    column at a time, so column-ordered positions are read contiguously.
     """
     m = {4: 2, 9: 3}[len(idx)]
     axes = []
@@ -357,7 +365,12 @@ def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
             i -= 1
         # i is below 0 at a half-drift position in (-h, 0), and x / h rounds
         # up to n just below the box
-        nodes = [i.astype(np.intp) % n]
+        np.add(i, n, out=i, where=i < 0)
+        np.subtract(i, n, out=i, where=i >= n)
+        i = i.astype(np.intp)
+        if i.size and (i.min() < 0 or i.max() >= n):  # far, or not finite
+            i %= n
+        nodes = [i]
         for _ in range(1, m):
             i1 = nodes[-1] + 1
             i1[i1 == n] = 0
@@ -386,12 +399,13 @@ def _gather(arr: np.ndarray, idx: np.ndarray, *weights) -> list:
     component at a time, summed over the nodes in order."""
     flat = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
     sums = np.empty((len(weights), len(flat), idx.shape[1]))
+    term = np.empty(idx.shape[1])
     for c, comp in enumerate(flat):
         for k, nodes in enumerate(idx):
             v = comp.take(nodes)
             for acc, w in zip(sums[:, c], weights):
                 if k:
-                    acc += v * w[k]
+                    acc += np.multiply(v, w[k], out=term)
                 else:
                     np.multiply(v, w[k], out=acc)
     return [s.reshape(arr.shape[:-2] + (-1,)) for s in sums]
@@ -502,8 +516,8 @@ class DiagnosticSeries:
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in self.data.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
     @classmethod
     def load_csv(cls, path) -> "DiagnosticSeries":
@@ -723,7 +737,9 @@ def run(scn: Scenario) -> RunResult:
             e3_mid = 0.5 * (fields.E[2] + fields_half.E[2])
             a3_half = mx.evolve_a3(a3, e3_mid, 0.5 * scn.dt)
         sampler = make_field_sampler(fields_half, a3_half)
-        x, p, p0 = np.empty_like(ens.x), np.empty_like(ens.p), np.empty(n)
+        # column-ordered, so that each block's columns are contiguous
+        x, p = np.empty((n, 2), order="F"), np.empty(ens.p.shape, order="F")
+        p0 = np.empty(n)
         for s in phase._blocks(n):
             xn, p[s], p0[s] = chars.push_many(ens.x[s], ens.p[s], ens.p0[s],
                                               sampler, scn.dt)

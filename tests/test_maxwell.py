@@ -2,6 +2,7 @@
 conservation, constraints, gauge potential, flux identities, and field
 snapshot round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,6 +188,41 @@ class TestPropagator:
         out = mx.step_maxwell(st_, j, 0.1)
         assert not np.any(out.E[:2]) and not np.any(out.B[2])
         assert np.abs(out.E[2] - st_.E[2]).max() > 1e-3
+
+
+    @pytest.mark.parametrize("mode", ["2d", "2.5d"])
+    def test_factor_table_follows_dt(self, mode):
+        # one grid, alternating dt: each step has the bytes of the same
+        # step on a fresh grid, which builds its factor table anew
+        g = _grid(16)
+        cur = _band_limited_state(g, mode, seed=10)
+        j = np.random.default_rng(10).standard_normal((3, g.nx, g.ny))
+        for dt in (0.05, 0.02, 0.05, 0.02, 0.05):
+            fresh = mx.FieldState(mode, dataclasses.replace(g), cur.E, cur.B)
+            want = mx.step_maxwell(fresh, j, dt)
+            cur = mx.step_maxwell(cur, j, dt)
+            assert cur.grid is g
+            assert cur.E.tobytes() == want.E.tobytes()
+            assert cur.B.tobytes() == want.B.tobytes()
+
+    def test_factor_table_holds_the_last_dt_only(self):
+        # retarded's field re-run steps by halves of the gaps between the
+        # stored times k dt, which differ in their last bits: the grid
+        # keeps one read-only table, that of the latest dt
+        g = _grid(16)
+        halves = 0.5 * np.diff(np.arange(7) * 0.04)
+        assert len(set(halves.tolist())) > 1
+        cur = _band_limited_state(g, "2d", seed=11)
+        for half in halves:
+            cur = mx.step_maxwell(cur, _no_current(g), half)
+            key, table = g._propagator
+            assert key == float(half).hex()
+            assert g.propagator(half) is table
+        own = {f.name for f in dataclasses.fields(g)} | {"k_table"}
+        assert set(vars(g)) - own == {"_propagator"}
+        assert not any(a.flags.writeable for a in table)
+        with pytest.raises(ValueError, match="read-only"):
+            table[2][0, 0] = 0.0
 
 
 class TestConstraints:

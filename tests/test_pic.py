@@ -254,19 +254,9 @@ class TestDeposit:
         ys = [0.0, np.nextafter(g.ly, 0.0), 3 * g.hy, 2.0, -1e-17,
               -0.5 * g.hy, np.nextafter(-g.hy, 0.0)]
         x = np.array([[a, b] for a in xs for b in ys])
-        # the outer-product form of the tensor-product CIC shape
-        axes = []
-        for c, (n, h) in enumerate(((g.nx, g.hx), (g.ny, g.hy))):
-            f = x[:, c] / h
-            i0 = np.floor(f)
-            t = f - i0
-            axes.append(((i0.astype(np.intp) + np.arange(2)[:, None]) % n,
-                         np.stack((1.0 - t, t))))
-        (ix, wx), (iy, wy) = axes
-        want_idx = (ix[:, None] * g.ny + iy[None, :]).reshape(4, -1)
-        want_w = (wx[:, None] * wy[None, :]).reshape(4, -1)
         idx, w = np.empty((4, len(x)), np.intp), np.empty((4, len(x)))
         pic._stencil(g, x, idx, w)
+        want_idx, want_w = _outer_stencil(g, x, 2)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(w, want_w)
 
@@ -277,28 +267,58 @@ class TestDeposit:
         assert np.all(tx / g.hx % 1.0 == 0.5)
         assert np.all(ty / g.hy % 1.0 == 0.5)
         x = np.array([[a, b] for a in xs + list(tx) for b in ys + list(ty)])
-        axes = []
-        for c, (n, h) in enumerate(((g.nx, g.hx), (g.ny, g.hy))):
-            f = x[:, c] / h
-            i0 = np.rint(f)
-            t = f - i0
-            axes.append(((i0.astype(np.intp) - 1 + np.arange(3)[:, None]) % n,
-                         np.stack((0.5 * (0.5 - t) ** 2, 0.75 - t * t,
-                                   0.5 * (0.5 + t) ** 2)),
-                         np.stack((t - 0.5, -2.0 * t, t + 0.5)) / h))
-        (ix, wx, dx), (iy, wy, dy) = axes
-
-        def outer(a, b):
-            return (a[:, None] * b[None, :]).reshape(9, -1)
-
         idx = np.empty((9, len(x)), np.intp)
         w, wdx, wdy = np.empty((3, 9, len(x)))
         pic._stencil(g, x, idx, w, wdx, wdy)
-        want_idx = (ix[:, None] * g.ny + iy[None, :]).reshape(9, -1)
-        assert np.array_equal(idx, want_idx)
-        assert np.array_equal(w, outer(wx, wy))
-        assert np.array_equal(wdx, outer(dx, wy))
-        assert np.array_equal(wdy, outer(wx, dy))
+        for got, want in zip((idx, w, wdx, wdy), _outer_stencil(g, x, 3)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [64, 45])
+    def test_stencil_wraps_node_indices_as_mod(self, n):
+        # one add or subtract of n wraps a node index within one box of
+        # [0, n); -3 box and 5 box need the % beyond it. The first CIC node
+        # is -1 at -h/2 and n at the box; the first TSC node is -1 at 0
+        g = mx.Grid(n, n, 20.0, 20.0)
+        edge = [-0.5 * g.hx, 0.0, np.nextafter(g.lx, 0.0), g.lx,
+                -3.0 * g.lx, 5.0 * g.lx, 7.3]
+        x = np.array([[a, b] for a in edge for b in edge])
+        for m, k in ((2, 4), (3, 9)):
+            idx, w = np.empty((k, len(x)), np.intp), np.empty((k, len(x)))
+            pic._stencil(g, x, idx, w)
+            want_idx, want_w = _outer_stencil(g, x, m)[:2]
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(w, want_w)
+            # and the same on column-ordered positions
+            pic._stencil(g, np.asfortranarray(x), idx, w)
+            assert np.array_equal(idx, want_idx)
+
+
+def _outer_stencil(g, x, m):
+    """The outer-product form of the CIC (m = 2) or TSC (m = 3) shape at
+    positions x (n, 2), with node indices wrapped by ``% n``: (idx, w) and
+    for TSC the derivative weights (wdx, wdy), each (m * m, n)."""
+    axes = []
+    for c, (n, h) in enumerate(((g.nx, g.hx), (g.ny, g.hy))):
+        f = x[:, c] / h
+        i0 = np.floor(f) if m == 2 else np.rint(f)
+        t = f - i0
+        if m == 2:
+            ws, ds = np.stack((1.0 - t, t)), None
+        else:
+            i0 -= 1
+            ws = np.stack((0.5 * (0.5 - t) ** 2, 0.75 - t * t,
+                           0.5 * (0.5 + t) ** 2))
+            ds = np.stack((t - 0.5, -2.0 * t, t + 0.5)) / h
+        axes.append(((i0.astype(np.intp) + np.arange(m)[:, None]) % n,
+                     ws, ds))
+    (ix, wx, dx), (iy, wy, dy) = axes
+
+    def outer(a, b):
+        return (a[:, None] * b[None, :]).reshape(m * m, -1)
+
+    out = ((ix[:, None] * g.ny + iy[None, :]).reshape(m * m, -1),
+           outer(wx, wy))
+    return out if m == 2 else out + (outer(dx, wy), outer(wx, dy))
 
 
 def _central_inplane_b(g, a3, pos, h=1e-6):
