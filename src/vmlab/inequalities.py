@@ -24,7 +24,6 @@ from .retarded import gauss_rule
 
 __all__ = [
     "sample_momenta_xi",
-    "flux_identity_check",
     "flux_identity_suite",
     "null_coordinate_identity",
     "geometry_bounds_check",
@@ -82,10 +81,14 @@ def sample_momenta_xi(seed: int, n: int):
 
 
 def _flux_residual(E, B, omega, mode: str) -> float:
-    """Max over the rows of E, B (n, 3) and omega (n, 2) of the flux
-    identity's |lhs - rhs| / (1 + |E|^2 + |B|^2), with rhs the ``mode``
-    good square, ``_BLOCK`` rows at a time. NaN if any row is NaN, as
-    ``np.max`` of the whole array gives."""
+    """Max over the rows of E, B (n, 3) and unit omega (n, 2) of the
+    residual |lhs - rhs| / (1 + |E|^2 + |B|^2) of the energy-flux identity
+
+      1/2 (|E|^2 + |B|^2) + omega.(E x B)
+        = 1/4 (|E.w|^2 + |B.w|^2 + |E - w x B|^2 + |B + w x E|^2),
+
+    with rhs the ``mode`` good square, ``_BLOCK`` rows at a time. NaN if
+    any row is NaN, as ``np.max`` of the whole array gives."""
     tops = []
     for s in _blocks(len(E)):
         e, b, w = E[s], B[s], omega[s]
@@ -96,27 +99,6 @@ def _flux_residual(E, B, omega, mode: str) -> float:
                        + (e[:, 2] * e[:, 2] + b[:, 2] * b[:, 2]))
         tops.append(np.max(np.abs(lhs - rhs) / scale))
     return float(np.max(tops))
-
-
-def flux_identity_check(E, B, omega) -> float:
-    """Normalized residual of the energy-flux identity
-
-      1/2 (|E|^2 + |B|^2) + omega.(E x B)
-        = 1/4 (|E.w|^2 + |B.w|^2 + |E - w x B|^2 + |B + w x E|^2)
-
-    for a unit in-plane omega. Vectorized over leading axes; returns the max
-    of |lhs - rhs| / (1 + |E|^2 + |B|^2).
-    """
-    E = np.asarray(E, dtype=float)
-    B = np.asarray(B, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    nrm = np.sqrt(omega[..., 0] ** 2 + omega[..., 1] ** 2)
-    if np.any(np.abs(nrm - 1.0) > 1e-9):
-        raise ValueError("omega must be a unit vector")
-    lead = np.broadcast_shapes(E.shape[:-1], B.shape[:-1], omega.shape[:-1])
-    E, B, omega = (np.broadcast_to(a, lead + a.shape[-1:])
-                   .reshape(-1, a.shape[-1]) for a in (E, B, omega))
-    return _flux_residual(E, B, omega, "2.5d")
 
 
 def flux_identity_suite(seed: int, n: int) -> IneqReport:
@@ -145,7 +127,7 @@ def flux_identity_suite(seed: int, n: int) -> IneqReport:
     def omega(a):
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
 
-    res = float(np.max([flux_identity_check(E[s], B[s], omega(phi[s]))
+    res = float(np.max([_flux_residual(E[s], B[s], omega(phi[s]), "2.5d")
                         for s in _blocks(n)]))
     # planar reduction on the ansatz subset
     Ek, Bk, phik = E[:k], B[:k], phi[:k]

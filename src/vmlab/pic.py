@@ -315,25 +315,31 @@ def initial_fields(scn: Scenario, rho: np.ndarray) -> tuple[mx.FieldState, np.nd
 # Deposit / gather
 # --------------------------------------------------------------------------
 
+def _wrap(v: np.ndarray, n) -> None:
+    """Wrap v into [0, n) in place, to the bits of ``v % n``.
+
+    One add or subtract of n wraps a value within one period of [0, n), as
+    a position after a step or a node index at the grid's edge; only values
+    beyond that take ``np.mod``, of the value itself. Either way a tiny
+    negative value that rounds up to exactly n (``-1e-17 % 20.0 == 20.0``)
+    is mapped to 0. NaN stays NaN, and an infinity becomes NaN.
+    """
+    far = (v < -n) | (v >= 2 * n)
+    m = np.mod(v[far], n) if far.any() else None
+    np.add(v, n, out=v, where=v < 0)
+    np.subtract(v, n, out=v, where=v >= n)   # also a v + n that rounded to n
+    if m is not None:
+        v[far] = np.where(m >= n, 0.0, m)
+
+
 def wrap_box(x: np.ndarray, box) -> np.ndarray:
     """Periodic wrap of positions (..., d) into [0, box), box (d,), to the
-    bits of ``x % box``.
-
-    One add or subtract of ``box`` wraps a coordinate within one box of
-    [0, box), as after a step; only coordinates still outside take
-    ``np.mod``. Either way a tiny negative coordinate that rounds up to
-    exactly ``box`` (``-1e-17 % 20.0 == 20.0``) is mapped to 0. One
-    coordinate at a time, as a contiguous row.
-    """
+    bits of ``x % box`` (see ``_wrap``), one coordinate at a time, as a
+    contiguous row."""
     y = np.empty_like(x)
     for c, b in enumerate(box):
         v = x[..., c] + 0.0              # -0.0 becomes +0.0, as in np.mod
-        v[v < 0] += b
-        v[v >= b] -= b                   # also an x + b that rounded to b
-        far = (v < 0) | (v >= b)
-        if far.any():
-            m = np.mod(x[..., c][far], b)
-            v[far] = np.where(m >= b, 0.0, m)
+        _wrap(v, b)
         y[..., c] = v
     return y
 
@@ -349,11 +355,10 @@ def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
     the node before the nearest one, and writes the weights of the exact
     d/dx and d/dy of the interpolant into two more buffers ``dw``, if given.
 
-    Node indices wrap as ``wrap_box`` wraps positions: one add or subtract
-    of the axis' node count n, on the floored index while it is a float,
-    and ``%`` only for an index still outside [0, n). The indices are those
-    of ``% n`` for |x / h| < 2**53, on every grid size. x is read one
-    column at a time, so column-ordered positions are read contiguously.
+    Node indices wrap by ``_wrap``, as positions do, on the floored index
+    while it is a float: they are those of ``% n`` for |x / h| < 2**53, on
+    every grid size. x is read one column at a time, so column-ordered
+    positions are read contiguously.
     """
     m = {4: 2, 9: 3}[len(idx)]
     axes = []
@@ -365,10 +370,9 @@ def _stencil(grid: mx.Grid, x: np.ndarray, idx: np.ndarray, w: np.ndarray,
             i -= 1
         # i is below 0 at a half-drift position in (-h, 0), and x / h rounds
         # up to n just below the box
-        np.add(i, n, out=i, where=i < 0)
-        np.subtract(i, n, out=i, where=i >= n)
+        _wrap(i, n)
         i = i.astype(np.intp)
-        if i.size and (i.min() < 0 or i.max() >= n):  # far, or not finite
+        if i.size and (i.min() < 0 or i.max() >= n):  # not finite
             i %= n
         nodes = [i]
         for _ in range(1, m):

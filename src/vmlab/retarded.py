@@ -433,8 +433,8 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     of all probes are found together (an x1 strip, then the x2 cut of
     ``_cone_rows``), gathered and put through the kernels once, and then
     summed per probe. Beside the history, only one step of the force-free
-    flow is held. Raises ``ValueError`` when a probe sits on a particle (see
-    ``_cone_rows``).
+    flow is held. Raises ``ValueError`` when a probe lies outside
+    [0, lx) x [0, ly) or sits on a particle (see ``_cone_rows``).
     """
     probes = np.asarray(x, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2:
@@ -442,6 +442,10 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     k = _history_index(history, t)
     mode, grid, times, w = history.mode, history.grid, history.times, history.w
     box = np.array([grid.lx, grid.ly])
+    out = np.flatnonzero(~np.all((probes >= 0.0) & (probes < box), axis=1))
+    if out.size:
+        raise ValueError(f"probe t={t} x={probes[out[0]].tolist()} lies "
+                         f"outside the box [0, {grid.lx}) x [0, {grid.ly})")
     p_free = history.part_p[0]
     phat = p_free[:, :2] / p0_of(p_free)[:, None]
     g_fields = mx.FieldState(mode, grid, history.E[0], history.B[0])

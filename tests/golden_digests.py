@@ -4,13 +4,16 @@ them. Rewrite ``tests/golden_digests.json`` from the working tree with
     PYTHONPATH=src python tests/golden_digests.py
 
 which prints each (run, output) whose digest changed, with the old and the
-new digest. ``tests/test_golden_digests.py`` runs the same commands and
+new digest. ``tests/test_golden_digests.py`` hashes the same commands'
+outputs, which ``tests/conftest.py`` makes once per test session, and
 compares.
 
 The bits of ``sin``, ``cos`` and ``exp`` depend on NumPy's version and on
 the SIMD paths it dispatches to, so a digest holds only on the environment
 recorded beside it. Each entry of ``RUNS`` is one command line; its value
 writes that command's outputs into a directory and returns their names.
+``Outputs`` runs each command once, so the ``fields-compare`` of the
+golden_repr run reads the directory of that ``simulate`` command.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _run_cli(argv: list, stdout: Path) -> None:
     stdout.write_text(buf.getvalue())
 
 
-def _verify(out_dir: Path) -> list:
+def _verify(out_dir: Path, outputs: Outputs) -> list:
     _run_cli(["verify", "all", "--seed", "3", "--count", "200000",
               "--out", str(out_dir / "verify.json")], out_dir / "stdout")
     return ["stdout", "verify.json"]
@@ -67,7 +70,7 @@ def _simulate(name: str, *extra: str):
     """``vmlab simulate`` of scenario ``name``: its CSVs, ``scenario.json``
     and stdout, and the ``extra`` outputs. ``manifest.json`` holds wall
     times and is left out."""
-    def write(out_dir: Path) -> list:
+    def write(out_dir: Path, outputs: Outputs) -> list:
         _run_cli(["simulate", str(SCENARIOS / f"{name}.json"),
                   "--out", str(out_dir)], out_dir / "stdout")
         return ["diagnostics.csv", "ensemble.csv", "fields.csv",
@@ -75,10 +78,10 @@ def _simulate(name: str, *extra: str):
     return write
 
 
-def _fields_compare(out_dir: Path) -> list:
-    run_dir = out_dir / "golden_repr"
-    _simulate("golden_repr")(run_dir)
-    _run_cli(["fields-compare", str(run_dir),
+def _fields_compare(out_dir: Path, outputs: Outputs) -> list:
+    """``fields-compare`` of the golden_repr ``simulate`` run at its 20
+    probes."""
+    _run_cli(["fields-compare", str(outputs.dir(GOLDEN_REPR)),
               "--probes", str(SCENARIOS / "golden_repr_probes.json"),
               "--out", str(out_dir / "compare.json")], out_dir / "stdout")
     return ["compare.json", "stdout"]
@@ -93,7 +96,7 @@ PROBES_25D = [{"t": 0.5, "x": [10.0 + 4.0 * math.cos(math.pi * k / 3),
               for k in range(6)]
 
 
-def _history_25d(out_dir: Path) -> list:
+def _history_25d(out_dir: Path, outputs: Outputs) -> list:
     """``simulate`` of ``HISTORY_25D``, then ``fields-compare`` of its run
     at ``PROBES_25D``."""
     run_dir = out_dir / "run"
@@ -108,31 +111,44 @@ def _history_25d(out_dir: Path) -> list:
     return ["run/history.npz", "simulate.stdout", "compare.json", "stdout"]
 
 
+GOLDEN_REPR = "simulate golden_repr.json"
 RUNS = {"verify all --seed 3 --count 200000": _verify,
         "simulate golden_2d.json": _simulate("golden_2d"),
         "simulate golden_25d.json": _simulate("golden_25d"),
-        "simulate golden_repr.json": _simulate("golden_repr", "history.npz"),
+        GOLDEN_REPR: _simulate("golden_repr", "history.npz"),
         "fields-compare <golden_repr run> --probes golden_repr_probes.json":
             _fields_compare,
         "simulate + fields-compare <short golden_25d with history>":
             _history_25d}
 
 
-def run_digests(run: str, out_dir: Path) -> dict:
-    """{output name: SHA-256 hex digest} of ``run``'s outputs, written into
-    ``out_dir``."""
-    names = RUNS[run](out_dir)
-    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            for name in sorted(names)}
+class Outputs:
+    """The outputs of the ``RUNS`` commands, each in its own directory under
+    ``root``. A command runs once, when its directory is first asked for."""
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
+        self._made = {}                      # run: (directory, output names)
+
+    def dir(self, run: str) -> Path:
+        if run not in self._made:
+            out = Path(tempfile.mkdtemp(dir=self.root))
+            self._made[run] = (out, RUNS[run](out, self))
+        return self._made[run][0]
+
+    def digests(self, run: str) -> dict:
+        """{output name: SHA-256 hex digest} of ``run``'s outputs."""
+        out = self.dir(run)
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in sorted(self._made[run][1])}
 
 
 def main() -> int:
     old = (json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists()
            else {})
-    outputs = {}
-    for run in RUNS:
-        with tempfile.TemporaryDirectory() as tmp:
-            outputs[run] = run_digests(run, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        made = Outputs(Path(tmp))
+        outputs = {run: made.digests(run) for run in RUNS}
     DIGESTS.write_text(json.dumps({"environment": environment_key(),
                                    "outputs": outputs},
                                   indent=2, sort_keys=True) + "\n")

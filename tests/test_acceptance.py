@@ -4,8 +4,10 @@ Each test here pins one headline guarantee of the package: exact algebraic
 identities, geometry bounds with their explicit constants, quadrature
 oracles, exact exponent arithmetic, conservation on the golden scenarios,
 convergence orders, representation agreement, regression-pinned singular
-integral constants, and bytewise determinism.  Shared golden runs are
-module-scoped fixtures so each expensive simulation executes once.
+integral constants, and bytewise determinism.  The golden runs are the
+``vmlab simulate`` runs that the golden digests hash (the session's
+``golden_outputs``, ``tests/conftest.py``), read back from their outputs, so
+each golden scenario is simulated once per session.
 """
 
 import json
@@ -30,31 +32,42 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # --------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def golden_2d_result():
-    scn = pic.load_scenario(SCENARIOS / "golden_2d.json")
-    t0 = time.perf_counter()
-    res = pic.run(scn)
-    return scn, res, time.perf_counter() - t0
+def _cli_run(golden_outputs, name: str):
+    """The golden ``vmlab simulate`` run of scenario ``name``, read back from
+    its outputs: ``scenario.json``, ``diagnostics.csv`` and ``history.npz``
+    round-trip exactly, and ``manifest.json`` gives the run's wall time. The
+    final ensemble and fields, which no check here reads, are left out."""
+    out = golden_outputs.dir(f"simulate {name}")
+    scn = pic.load_scenario(out / "scenario.json")
+    history = (pic.RunHistory.load_npz(out / "history.npz")
+               if scn.store_history else None)
+    res = pic.RunResult(scn, pic.DiagnosticSeries.load_csv(
+        out / "diagnostics.csv"), None, None, history)
+    manifest = json.loads((out / "manifest.json").read_text())
+    return scn, res, manifest["wall_time_end"] - manifest["wall_time_start"]
 
 
 @pytest.fixture(scope="module")
-def golden_25d_runs():
+def golden_2d_result(golden_outputs):
+    return _cli_run(golden_outputs, "golden_2d.json")
+
+
+@pytest.fixture(scope="module")
+def golden_25d_runs(golden_outputs):
     """Golden full-momentum scenario at dt, dt/2, dt/4."""
-    base = pic.load_scenario(SCENARIOS / "golden_25d.json")
-    out = []
-    for k in range(3):
-        cfg = base.to_canonical_dict()
-        cfg["dt"] = base.dt / 2.0 ** k
-        scn = pic.scenario_from_dict(cfg, path="inline")
-        out.append((scn, pic.run(scn)))
+    scn, res, _ = _cli_run(golden_outputs, "golden_25d.json")
+    out = [(scn, res)]
+    for k in (1, 2):
+        cfg = scn.to_canonical_dict()
+        cfg["dt"] = scn.dt / 2.0 ** k
+        fine = pic.scenario_from_dict(cfg, path="inline")
+        out.append((fine, pic.run(fine)))
     return out
 
 
 @pytest.fixture(scope="module")
-def golden_repr_result():
-    scn = pic.load_scenario(SCENARIOS / "golden_repr.json")
-    return scn, pic.run(scn)
+def golden_repr_result(golden_outputs):
+    return _cli_run(golden_outputs, "golden_repr.json")[:2]
 
 
 # --------------------------------------------------------------------------

@@ -328,6 +328,23 @@ class TestFieldsCompare:
         assert len(err.strip().splitlines()) == 1
         assert "sits on a particle" in err
 
+    @pytest.mark.parametrize("x", [[1e300, 5.0], [-1e20, 3.0],
+                                   [1e308, 1e308], [20.0, 5.0]])
+    def test_probe_outside_box_is_usage_error(self, history_run, tmp_path,
+                                              capsys, x):
+        # such probes once gave a record from a meaningless grid node, or
+        # were rejected as sitting on a particle
+        probes = self._probes(tmp_path, [{"t": 0.3, "x": [10.0, 10.0]},
+                                         {"t": 0.3, "x": x}])
+        rep = tmp_path / "rep.json"
+        assert run_cli("fields-compare", str(history_run), "--probes",
+                       str(probes), "--out", str(rep)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: probe t=0.3 x={x!r} lies outside the box "
+            f"[0, 20.0) x [0, 20.0)"]
+        assert not rep.exists()
+
     _GRID = "grid: must be two positive integers and two positive finite lengths"
     _TIMES = "times: must be finite, strictly increasing from 0"
     _PLANAR = "2d mode requires {} = 0, got a nonzero one at step {}"

@@ -40,7 +40,6 @@ _ORACLE = "snapshot reader, used by the round-trip tests as their oracle"
 ALLOW = {
     "load_field": _ORACLE,
     "load_ensemble": _ORACLE,
-    "load_csv": _ORACLE,
 }
 # an ALLOW name is a root both as a name and as a method reference
 _ALLOW_REFS = set(ALLOW) | {"." + n for n in ALLOW}

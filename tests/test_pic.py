@@ -291,6 +291,16 @@ class TestDeposit:
             # and the same on column-ordered positions
             pic._stencil(g, np.asfortranarray(x), idx, w)
             assert np.array_equal(idx, want_idx)
+        # a non-finite position takes the integer % fallback: its nodes stay
+        # on the grid, so a non-finite state ends in pic.run's finiteness
+        # check, not in an IndexError
+        bad = [np.nan, np.inf, -np.inf, 7.3]
+        x = np.array([[a, b] for a in bad for b in bad])
+        for k in (4, 9):
+            idx, w = np.empty((k, len(x)), np.intp), np.empty((k, len(x)))
+            with np.errstate(invalid="ignore"):
+                pic._stencil(g, x, idx, w)
+            assert np.all((idx >= 0) & (idx < n * n))
 
 
 def _outer_stencil(g, x, m):
