@@ -31,15 +31,6 @@ from .phase import p0_of
 __all__ = ["push_many"]
 
 
-def _rotate_about(p3: np.ndarray, b: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of p3 about the unit (or zero) axis b by the given
-    angle, with the rotation sense of dp/dtheta = p x b (magnetic gyration)."""
-    c = np.cos(angle)[..., None]
-    s = np.sin(angle)[..., None]
-    pb = np.sum(p3 * b, axis=-1)[..., None]
-    return c * p3 + s * np.cross(p3, b) + (1.0 - c) * pb * b
-
-
 def _drift(x: np.ndarray, p: np.ndarray, p0: np.ndarray,
            h: float) -> np.ndarray:
     """x + h p / p0 over the in-plane components, one column at a time,
@@ -56,35 +47,46 @@ def push_many(x: np.ndarray, p: np.ndarray, p0: np.ndarray, fields,
 
     x: (n, 2) positions, p: (n, d_p) momenta with energies p0 = ``p0_of(p)``
     (n,); ``fields`` is the sampler x -> (E, B) of the live components.
-    Returns (x, p, p0) one step of dt later; x, and p with planar momenta,
-    are column-ordered.
+    Returns (x, p, p0) one step of dt later; x and p are column-ordered.
 
-    The half drifts, and with planar momenta the kicks, |p|^2 and the
-    rotation too, go one contiguous (n,) column at a time, into
-    column-ordered arrays: a broadcast over a length-2 inner axis runs one
-    inner loop per row. Each column gets the bits of the (n, 2) form, so
-    the result does not depend on the layout of x, p or E; it is fastest
-    when their columns are contiguous, as ``pic.run`` keeps them.
+    The half drifts, the kicks, |p|^2 and the rotation go one contiguous
+    (n,) column at a time, into column-ordered arrays: a broadcast over a
+    length-2 or length-3 inner axis runs one inner loop per row. Each column
+    gets the bits of the (n, d_p) form, with the 3-momentum rotation in
+    ``np.cross``'s formula and its sums in ``np.sum``'s order, so the result
+    does not depend on the layout of x, p, E or B; it is fastest when their
+    columns are contiguous, as ``pic.run`` and the PIC samplers keep them.
     """
     h = 0.5 * dt
     xh = _drift(x, p, p0, h)
     E, B = fields(xh)
-    if p.shape[-1] == 2:
-        pm, pn = np.empty(p.shape, order="F"), np.empty(p.shape, order="F")
-        for k in range(2):
-            np.add(p[:, k], h * E[:, k], out=pm[:, k])
+    d = p.shape[-1]
+    pm, pn = np.empty(p.shape, order="F"), np.empty(p.shape, order="F")
+    for k in range(d):
+        np.add(p[:, k], h * E[:, k], out=pm[:, k])
+    if d == 2:
         # B = (0, 0, B3) turns (p1, p2) in the plane by B3 dt / p0
         theta = B * dt / p0_of(pm)
         c, s = np.cos(theta), np.sin(theta)
         np.add(c * pm[:, 0], s * pm[:, 1], out=pn[:, 0])
         np.subtract(c * pm[:, 1], s * pm[:, 0], out=pn[:, 1])
-        for k in range(2):
-            pn[:, k] += h * E[:, k]
     else:
-        pm = p + h * E
-        # B = 0 gives angle 0 about a zero axis, which returns pm unchanged
-        bmag = np.sqrt(np.sum(B * B, axis=-1))
-        axis = B / np.where(bmag > 0.0, bmag, 1.0)[..., None]
-        pn = _rotate_about(pm, axis, bmag * dt / p0_of(pm)) + h * E
+        # Rodrigues rotation about the axis a = B / |B| by |B| dt / p0, with
+        # the sense of dp/dtheta = p x a; B = 0 gives angle 0 about a zero
+        # axis, which returns pm unchanged
+        bmag = np.sqrt((B[:, 0] * B[:, 0] + B[:, 1] * B[:, 1])
+                       + B[:, 2] * B[:, 2])
+        safe = np.where(bmag > 0.0, bmag, 1.0)
+        a = [B[:, k] / safe for k in range(3)]
+        theta = bmag * dt / p0_of(pm)
+        c, s = np.cos(theta), np.sin(theta)
+        q = [pm[:, k] for k in range(3)]
+        u = (1.0 - c) * ((q[0] * a[0] + q[1] * a[1]) + q[2] * a[2])
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            np.add(c * q[k] + s * (q[i] * a[j] - q[j] * a[i]), u * a[k],
+                   out=pn[:, k])
+    for k in range(d):
+        pn[:, k] += h * E[:, k]
     p0n = p0_of(pn)
     return _drift(xh, pn, p0n, h), pn, p0n

@@ -327,25 +327,10 @@ def cmd_fields_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    records = []
-    err_sq = 0.0
-    ref_sq = 0.0
-    for i, (t, x) in enumerate(probes):
-        if i not in reports:
-            records.append({"t": t, "x": x,
-                            "warning": "probe time outside stored history"})
-            continue
-        rep = reports[i]
-        gE, gB = retarded.grid_field_at(history, t, x)
-        rec = rep.to_dict()
-        rec["grid_E"] = list(map(float, gE))
-        rec["grid_B"] = list(map(float, gB))
-        records.append(rec)
-        diff = np.concatenate([rep.total_E - gE, rep.total_B - gB])
-        ref = np.concatenate([gE, gB])
-        err_sq += float(diff @ diff)
-        ref_sq += float(ref @ ref)
-    rel = math.sqrt(err_sq / ref_sq) if ref_sq > 0 else 0.0
+    records = [reports[i].to_dict() if i in reports else
+               {"t": t, "x": x, "warning": "probe time outside stored history"}
+               for i, (t, x) in enumerate(probes)]
+    rel = retarded.relative_l2_error(reports[i] for i in sorted(reports))
     summary = {"n_probes": len(probes), "relative_l2_error": rel}
     out = {"summary": summary, "probes": records}
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -497,7 +497,7 @@ def make_field_sampler(fields: mx.FieldState, a3: np.ndarray | None):
         _stencil(grid, x, idx, w, wdx, wdy)
         g = _gather(e_b3, idx, w)[0]
         gx, gy = _gather(a3, idx, wdx, wdy)
-        return g[:3].T, np.stack([gy, -gx, g[3]], axis=-1)
+        return g[:3].T, np.stack([gy, -gx, g[3]]).T
     return sampler
 
 
@@ -607,9 +607,12 @@ class RunHistory:
         """Read a ``save_npz`` archive, or the compressed form that older
         versions wrote; a file that is not one, a missing, unreadable or
         misshapen key, a ``grid`` that is not two positive integers and two
-        positive finite lengths, or ``times`` that are not finite, strictly
-        increasing from 0, raise ValueError naming path and key, as does
-        every check of the class itself."""
+        positive finite lengths, ``times`` that are not finite, strictly
+        increasing from 0, a non-finite ``E``, ``B``, ``part_x`` or
+        ``part_p`` (naming the first bad step) or a ``w`` that is not
+        positive and finite raise ValueError naming path and key, as does
+        every check of the class itself. ``pic.run``'s own history is not
+        checked: its steps already passed the loop's finiteness check."""
         a, key = {}, None
         try:
             with np.load(path) as z:
@@ -644,6 +647,16 @@ class RunHistory:
                    else "no times")
             raise ValueError(f"{path}: times: must be finite, strictly "
                              f"increasing from 0, got {got}")
+        # one step at a time, so the mask is one step's size
+        for key in ("E", "B", "part_x", "part_p"):
+            for k, step in enumerate(getattr(h, key)):
+                if not np.isfinite(step).all():
+                    raise ValueError(f"{path}: {key}: must be finite, got a "
+                                     f"non-finite value at step {k}")
+        bad = np.flatnonzero(~((h.w > 0.0) & (h.w < np.inf)))
+        if bad.size:
+            raise ValueError(f"{path}: w: must be positive and finite, got "
+                             f"w[{bad[0]}] = {float(h.w[bad[0]])!r}")
         return h
 
 

@@ -19,6 +19,7 @@ phat.xi uses only the first two momentum components; a ^ b = a1 b2 - a2 b1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ __all__ = [
     "box_inverse",
     "RepresentationReport",
     "field_from_representation",
-    "grid_field_at",
+    "relative_l2_error",
     "slab_weights",
 ]
 
@@ -378,14 +379,6 @@ def _gather_eb(grid: mx.Grid, E: np.ndarray, B: np.ndarray, xs: np.ndarray):
     return eb[:, :3], eb[:, 3:]
 
 
-def grid_field_at(history: "pic.RunHistory", t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-solver fields (E, B) at a probe, interpolated from the history."""
-    k = _history_index(history, t)
-    E, B = _gather_eb(history.grid, history.E[k], history.B[k],
-                      np.asarray(x, dtype=float).reshape(1, 2))
-    return E[0], B[0]
-
-
 @dataclass
 class RepresentationReport:
     t: float
@@ -398,6 +391,8 @@ class RepresentationReport:
     B_S: np.ndarray
     ks1_bound: float       # scalar majorant cone integral dominating |K_S,1|
     ks2_bound: float       # scalar majorant cone integral dominating |K_S,2|
+    grid_E: np.ndarray     # (3,) the history's grid fields at the probe
+    grid_B: np.ndarray
 
     @property
     def total_E(self) -> np.ndarray:
@@ -411,6 +406,18 @@ class RepresentationReport:
         """The fields and the totals as JSON-native values."""
         vals = {**vars(self), "total_E": self.total_E, "total_B": self.total_B}
         return {k: np.asarray(v).tolist() for k, v in vals.items()}
+
+
+def relative_l2_error(reports) -> float:
+    """|total - grid| over |grid| in the l2 norm of E and B over all the
+    reports, summed in their order; 0 when every grid field is 0."""
+    err_sq = ref_sq = 0.0
+    for rep in reports:
+        d = np.concatenate([rep.total_E - rep.grid_E, rep.total_B - rep.grid_B])
+        r = np.concatenate([rep.grid_E, rep.grid_B])
+        err_sq += float(d @ d)
+        ref_sq += float(r @ r)
+    return math.sqrt(err_sq / ref_sq) if ref_sq > 0 else 0.0
 
 
 def field_from_representation(history: "pic.RunHistory", t: float,
@@ -433,8 +440,11 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     of all probes are found together (an x1 strip, then the x2 cut of
     ``_cone_rows``), gathered and put through the kernels once, and then
     summed per probe. Beside the history, only one step of the force-free
-    flow is held. Raises ``ValueError`` when a probe lies outside
-    [0, lx) x [0, ly) or sits on a particle (see ``_cone_rows``).
+    flow is held. Each report also holds the history's grid fields at its
+    probe at t, ``grid_E`` and ``grid_B``, gathered for the whole stack in
+    one call: ``relative_l2_error`` compares them with the totals. Raises
+    ``ValueError`` when a probe lies outside [0, lx) x [0, ly) or sits on a
+    particle (see ``_cone_rows``).
     """
     probes = np.asarray(x, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2:
@@ -482,7 +492,9 @@ def field_from_representation(history: "pic.RunHistory", t: float,
     g_E, g_B = _gather_eb(grid, g_fields.E, g_fields.B, probes)
     data_E = g_E - free_sums[:, 0:3]
     data_B = g_B - free_sums[:, 3:6]
+    h_E, h_B = _gather_eb(grid, history.E[k], history.B[k], probes)
     # the slab sums are laid out in the report's field order from E_T on
     return [RepresentationReport(t, probe, data_E[i], data_B[i],
-                                 *sums[i, :12].reshape(4, 3), *sums[i, 12:])
+                                 *sums[i, :12].reshape(4, 3), *sums[i, 12:],
+                                 h_E[i], h_B[i])
             for i, probe in enumerate(probes)]

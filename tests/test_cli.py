@@ -348,6 +348,8 @@ class TestFieldsCompare:
     _GRID = "grid: must be two positive integers and two positive finite lengths"
     _TIMES = "times: must be finite, strictly increasing from 0"
     _PLANAR = "2d mode requires {} = 0, got a nonzero one at step {}"
+    _FINITE = "{}: must be finite, got a non-finite value at step {}"
+    _WEIGHT = "w: must be positive and finite, got "
 
     @staticmethod
     def _set(key, index, value):
@@ -377,9 +379,20 @@ class TestFieldsCompare:
         (_set("E", (0, 2, 0, 0), -1.0), "E: " + _PLANAR.format("E3", 0)),
         (_set("B", (6, 1, 23, 0), 1e-300),
          "B: " + _PLANAR.format("B1 = B2", 6)),
+        # a non-finite step would drop out of the cone sums, or reach
+        # compare.json as NaN, with exit 0
+        (_set("part_x", (3, 0), math.nan), _FINITE.format("part_x", 3)),
+        (_set("part_p", (3, 0), math.nan), _FINITE.format("part_p", 3)),
+        (_set("E", (3, 0, 2, 2), math.inf), _FINITE.format("E", 3)),
+        (_set("B", (6, 2, 0, 20), -math.inf), _FINITE.format("B", 6)),
+        (_set("w", 7, math.nan), _WEIGHT + "w[7] = nan"),
+        (_set("w", 0, -1e-3), _WEIGHT + "w[0] = -0.001"),
+        (_set("w", 1499, math.inf), _WEIGHT + "w[1499] = inf"),
     ], ids=["junk", "no_part_p", "part_p_3d", "grid_fraction", "lx_zero",
             "lx_nan", "lx_negative", "times_nan", "times_descending",
-            "times_late_start", "e3_late", "e3_first", "b2_last"])
+            "times_late_start", "e3_late", "e3_first", "b2_last",
+            "part_x_nan", "part_p_nan", "e_inf", "b_minus_inf", "w_nan",
+            "w_negative", "w_inf"])
     def test_malformed_history_is_usage_error(self, history_run, tmp_path,
                                               capsys, damage, message):
         run_dir = tmp_path / "run"
