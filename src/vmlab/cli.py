@@ -44,6 +44,12 @@ def _config_hash(scn: pic.Scenario) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _write_json(path, obj) -> None:
+    """``obj`` as indented, key-sorted JSON and a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(out_dir, scn, outputs, t0, t1):
     manifest = {
         "config_hash": _config_hash(scn),
@@ -60,11 +66,7 @@ def _write_manifest(out_dir, scn, outputs, t0, t1):
             "cpu_count": os.cpu_count(),
         },
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _bad_out_file(path) -> bool:
@@ -125,9 +127,8 @@ def cmd_simulate(args) -> int:
     if result.history is not None:
         result.history.save_npz(os.path.join(out_dir, "history.npz"))
         outputs.append("history.npz")
-    with open(os.path.join(out_dir, "scenario.json"), "w") as fh:
-        json.dump(scn.to_canonical_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "scenario.json"),
+                scn.to_canonical_dict())
     outputs.append("scenario.json")
     outputs.append("manifest.json")
     _write_manifest(out_dir, scn, outputs, t0, t1)
@@ -257,9 +258,7 @@ def cmd_verify(args) -> int:
         print(f"{rec['name']:40s} {rec['n_samples']:9d} "
               f"{rec['max_ratio']:12.4g} {str(rec['passed']):>5s}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, records)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -332,11 +331,8 @@ def cmd_fields_compare(args) -> int:
                for i, (t, x) in enumerate(probes)]
     rel = retarded.relative_l2_error(reports[i] for i in sorted(reports))
     summary = {"n_probes": len(probes), "relative_l2_error": rel}
-    out = {"summary": summary, "probes": records}
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_json(args.out, {"summary": summary, "probes": records})
     print(json.dumps(summary, sort_keys=True))
     for rec in records:
         if "warning" in rec:

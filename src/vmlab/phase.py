@@ -199,7 +199,7 @@ def interpolation_check(density, S: float, M: float, q: float,
     points per axis of [-8, 8]^d_p in p.
 
     Returns an IneqReport named "interpolation" whose ``max_ratio`` is
-    lhs / rhs (0 when both vanish), with the two sides in ``details``.
+    lhs / rhs (0 when both vanish).
     """
     if not (M >= S):
         raise ValueError(f"need M >= S, got S={S}, M={M}")
@@ -232,8 +232,7 @@ def interpolation_check(density, S: float, M: float, q: float,
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
     return IneqReport(name="interpolation", n_samples=1, max_ratio=ratio,
                       witness=dict(S=S, M=M, q=q, d_p=d_p),
-                      passed=math.isfinite(ratio),
-                      details={"lhs": lhs, "rhs": rhs})
+                      passed=math.isfinite(ratio))
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zipfile
 import zlib
 from dataclasses import MISSING, dataclass, fields
@@ -106,6 +107,22 @@ _RULES = {
     "fields0.e3_amp": _FINITE, "fields0.e3_sigma": _POSITIVE,
 }
 
+# the value of each f0 and fields0 member that a scenario leaves out, keyed
+# as _RULES is; scenario.json holds only the members given
+_DEFAULTS = {
+    "f0.sigma_x": 1.0, "f0.p3_nu": 16.0, "f0.mass": 0.05, "f0.alpha": 18.0,
+    "f0.beams": [[0.0, 0.0]],
+    "fields0.poisson": False,
+    "fields0.a3_amp": 0.0, "fields0.a3_sigma": 1.0,
+    "fields0.e3_amp": 0.0, "fields0.e3_sigma": 1.0,
+}
+
+
+def _member(scn, key: str):
+    """The f0 or fields0 member ``key`` of ``scn``, or its default."""
+    head, _, leaf = key.partition(".")
+    return getattr(scn, head).get(leaf, _DEFAULTS[key])
+
 
 @dataclass
 class Scenario:
@@ -122,7 +139,10 @@ class Scenario:
     charge), ``a3_amp``/``a3_sigma`` (3-momentum mode: Gaussian gauge bump
     A3 = amp * exp(-|x-c|^2 / (2 sigma^2)) generating in-plane B),
     ``e3_amp``/``e3_sigma`` (Gaussian out-of-plane electric field). Each
-    width is at least the grid spacing ``box / grid_n``.
+    width that is given, or whose Gaussian is built, is at least the grid
+    spacing ``box / grid_n``. A member left out takes its ``_DEFAULTS``
+    value. ``box * box`` is finite and the cell area ``(box / grid_n) ** 2``
+    is at least the smallest normal float.
     """
 
     mode: str
@@ -158,6 +178,13 @@ class Scenario:
             v = getattr(self, head)[leaf] if leaf else getattr(self, key)
             if not ok(v):
                 raise ValueError(f"{key}: must be {need}, got {v!r}")
+        box = float(self.box)   # an int's square may pass float's range
+        if not (math.isfinite(box * box)
+                and (box / self.grid_n) ** 2 >= sys.float_info.min):
+            raise ValueError(f"box: must be such that box * box is finite "
+                             f"and the cell area (box / grid_n) ** 2 is at "
+                             f"least {sys.float_info.min!r}, with grid_n = "
+                             f"{self.grid_n!r}, got {self.box!r}")
         steps = self.t_final / self.dt
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
             raise ValueError(f"t_final: must be a whole number of steps "
@@ -165,15 +192,20 @@ class Scenario:
         if self.n_steps < 1:
             raise ValueError(f"t_final: must be at least one step of "
                              f"dt = {self.dt!r}, got {self.t_final!r}")
-        sigma_x = self.f0.get("sigma_x", 1.0)
+        sigma_x = _member(self, "f0.sigma_x")
         if sigma_x > self.box:  # sample_ensemble redraws until inside
             raise ValueError(f"f0.sigma_x: must be at most box = {self.box!r}, "
                              f"got {sigma_x!r}")
-        for key in ("a3_sigma", "e3_sigma"):  # the field Gaussians' widths
-            if self.fields0.get(key, math.inf) < self.box / self.grid_n:
-                raise ValueError(f"fields0.{key}: must be at least the grid "
-                                 f"spacing box / grid_n = {self.box!r} / "
-                                 f"{self.grid_n!r}, got {self.fields0[key]!r}")
+        for name in ("a3", "e3"):  # the field Gaussians' widths
+            given = f"{name}_sigma" in self.fields0
+            built = (self.mode != "2d"
+                     and _member(self, f"fields0.{name}_amp"))
+            sig = _member(self, f"fields0.{name}_sigma")
+            if (given or built) and sig < self.box / self.grid_n:
+                raise ValueError(f"fields0.{name}_sigma: must be at least the "
+                                 f"grid spacing box / grid_n = {self.box!r} / "
+                                 f"{self.grid_n!r}, got "
+                                 f"{sig!r}{'' if given else ' (the default)'}")
         self.moment_orders = tuple(float(N) for N in self.moment_orders)
         # the diagnostics columns of each order, named as _diag_row names them
         names = [f"moment_{N:g}" for N in self.moment_orders]
@@ -258,10 +290,10 @@ def sample_ensemble(scn: Scenario) -> ParticleEnsemble:
     rng = np.random.default_rng(scn.seed)
     n = scn.n_particles
     center = 0.5 * scn.box
-    sigma_x = float(scn.f0.get("sigma_x", 1.0))
-    alpha = float(scn.f0.get("alpha", 18.0))
-    mass = float(scn.f0.get("mass", 0.05))
-    beams = scn.f0.get("beams", [[0.0, 0.0]])
+    sigma_x = float(_member(scn, "f0.sigma_x"))
+    alpha = float(_member(scn, "f0.alpha"))
+    mass = float(_member(scn, "f0.mass"))
+    beams = _member(scn, "f0.beams")
 
     x = np.empty((n, 2))
     filled = 0
@@ -277,7 +309,7 @@ def sample_ensemble(scn: Scenario) -> ParticleEnsemble:
     p_plane += drift[np.arange(n) % drift.shape[0]]
 
     if scn.dim_p == 3:
-        nu = float(scn.f0.get("p3_nu", 16.0))
+        nu = float(_member(scn, "f0.p3_nu"))
         p3 = rng.standard_t(nu, size=n) / math.sqrt(nu)
         p = np.concatenate([p_plane, p3[:, None]], axis=1)
     else:
@@ -292,21 +324,21 @@ def initial_fields(scn: Scenario, rho: np.ndarray) -> tuple[mx.FieldState, np.nd
     deposited initial charge, which the Poisson solve reads."""
     grid = scn.grid
     fields = mx.FieldState.zeros(scn.mode, grid)
-    if scn.fields0.get("poisson", False):
+    if _member(scn, "fields0.poisson"):
         fields.E += mx.poisson_efield(rho, grid)
     if scn.mode == "2d":
         return fields, None
     xg, yg = grid.mesh()
     c = 0.5 * scn.box
     r2 = (xg - c) ** 2 + (yg - c) ** 2
-    a3_amp = float(scn.fields0.get("a3_amp", 0.0))
+    a3_amp = float(_member(scn, "fields0.a3_amp"))
     if a3_amp:
-        sig = float(scn.fields0.get("a3_sigma", 1.0))
+        sig = float(_member(scn, "fields0.a3_sigma"))
         a3 = a3_amp * np.exp(-r2 / (2.0 * sig * sig))
         fields.B[:2] = mx.curl_a3(a3, grid)
-    e3_amp = float(scn.fields0.get("e3_amp", 0.0))
+    e3_amp = float(_member(scn, "fields0.e3_amp"))
     if e3_amp:
-        sig = float(scn.fields0.get("e3_sigma", 1.0))
+        sig = float(_member(scn, "fields0.e3_sigma"))
         fields.E[2] = e3_amp * np.exp(-r2 / (2.0 * sig * sig))
     return fields, mx.gauge_a3(fields)
 

@@ -132,6 +132,11 @@ def test_null_coordinate_identity_on_cone_points():
     # residual is measured relative to that scale
     rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs) + np.abs(rhs))
     assert float(rel.max()) < 1e-12
+    # the shipped check, which ``verify identities`` runs
+    rep = ineq.null_coordinate_identity(0, 100_000)
+    assert rep.passed
+    assert rep.n_samples == 100_000
+    assert rep.max_ratio < 1e-12
 
 
 # --------------------------------------------------------------------------

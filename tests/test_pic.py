@@ -87,6 +87,11 @@ class TestScenario:
         ("moment_orders", [2, 2]),
         ("moment_orders", [2.5, 2.5000001]),
         ("moment_orders", [0.123451, 0.123452]),   # both k_l2.12345
+        # the cell area (box / grid_n) ** 2 below the smallest normal float,
+        # or box * box overflows: the deposit divides by the area
+        ("box", 1e-300),
+        ("box", 1e-160),
+        ("box", 1e200),
     ])
     def test_bad_value_rejected_with_key_path(self, key, value):
         cfg = small_cfg()
@@ -147,13 +152,42 @@ class TestScenario:
         cfg["fields0"][key] = 20.0 / 24
         pic.scenario_from_dict(cfg, path="inline")
 
+    @pytest.mark.parametrize("name", ["a3", "e3"])
+    def test_default_field_width_narrower_than_a_cell_exits_2(
+            self, name, tmp_path, capsys):
+        # the Gaussian that initial_fields builds at the default width 1.0
+        # is narrower than the grid spacing 20 / 16
+        cfg = small_cfg_25d(grid_n=16, fields0={f"{name}_amp": 0.05})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(cfg))
+        code = cli.main(["simulate", str(f), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"fields0.{name}_sigma: must be at least the grid spacing" in err
+        assert "got 1.0 (the default)" in err
+
+    @pytest.mark.parametrize("cfg", [
+        small_cfg_25d(grid_n=16, fields0={}),
+        small_cfg(grid_n=16, fields0={"a3_amp": 0.05, "e3_amp": 0.05}),
+    ])
+    def test_field_width_unchecked_where_no_gaussian_is_built(self, cfg):
+        # no amplitude in 2.5d, and a planar run builds no A3 or E3
+        pic.scenario_from_dict(cfg, path="inline")
+
     def test_readme_schema_table_is_the_rule_table(self):
-        # the README's table of scenario keys is pic._RULES, row for row
+        # the README's table of scenario keys is pic._RULES, row for row,
+        # with each key's default: the Scenario field's, or pic._DEFAULTS'
         text = (SCENARIOS.parent / "README.md").read_text()
-        table = text.split("| key | requirement |\n| --- | --- |\n")[1]
-        rows = [re.fullmatch(r"\| `([\w.]+)` \| (.+) \|", line).groups()
+        table = text.split("| key | requirement | default |\n"
+                           "| --- | --- | --- |\n")[1]
+        rows = [re.fullmatch(r"\| `([\w.]+)` \| ([^|]+) \| ([^|]+) \|",
+                             line).groups()
                 for line in table.split("\n\n")[0].splitlines()]
-        assert rows == [(k, need) for k, (_, need) in pic._RULES.items()]
+        given = {f.name: f.default for f in dataclasses.fields(pic.Scenario)}
+        given.update(pic._DEFAULTS)
+        assert rows == [(k, need, "required" if given[k] is dataclasses.MISSING
+                         else f"`{json.dumps(given[k])}`")
+                        for k, (_, need) in pic._RULES.items()]
 
 
 class TestSampling:
