@@ -8,11 +8,11 @@ modes are supported:
   "2.5d": all six components                 (3-component momenta)
 
 Spatial derivatives are spectral (FFT), so the divergence constraints and
-Poisson solves are exact at grid scale; no other module transforms, and a
-grid's gradient wavenumbers and k^2 live in one table, ``Grid.k_table``,
-and the time step's factors in another, ``Grid.propagator``.
-The time step applies the exact per-Fourier-mode propagator of the curl
-system with the current held constant over the step (Duhamel), which
+Poisson solves are exact at grid scale; no other module transforms. A grid
+holds only its sizes: ``Grid.k_table`` and the time step's factors are built
+on each call. The time step applies the exact per-Fourier-mode propagator
+of the curl system with the current held constant over the step (Duhamel),
+which
 conserves source-free field energy to machine precision. With k3 = 0 it
 splits into the TE triple (E1, E2, B3), driven by (j1, j2), and the TM
 triple (B1, B2, E3), driven by j3, which never couple. The Gauss correction
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +75,10 @@ class Grid:
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.hy)
         return kx[:, None], ky[None, :]
 
-    @cached_property
+    @property
     def k_table(self):
-        """Read-only (kx (nx, 1), ky (1, ny), k2 = kx^2 + ky^2) of the
-        odd-derivative (gradient/divergence) operators, built once per grid.
+        """(kx (nx, 1), ky (1, ny), k2 = kx^2 + ky^2) of the odd-derivative
+        (gradient/divergence) operators.
 
         On even grids the lone signed Nyquist frequency breaks the oddness
         k -> -k that spectral derivatives of real data require, so it is
@@ -91,41 +90,7 @@ class Grid:
             kx[self.nx // 2, 0] = 0.0
         if self.ny % 2 == 0:
             ky[0, self.ny // 2] = 0.0
-        table = (kx, ky, kx * kx + ky * ky)
-        for a in table:
-            a.flags.writeable = False
-        return table
-
-    def propagator(self, dt: float) -> tuple:
-        """Read-only Fourier factors of ``step_maxwell`` for a step of dt,
-        each (nx, ny): the unit wavevector (k1, k2) = k / |k| from
-        ``wavenumbers`` (0 at k = 0), c = cos(|k| dt), isn = i sin(|k| dt),
-        sk = sin(|k| dt) / |k| (dt at k = 0) and ick = i (1 - cos(|k| dt))
-        / |k| (0 at k = 0).
-
-        The grid keeps the table of the last dt only, and builds a new one
-        when dt differs from it in any bit: a run steps by one dt over and
-        over, and a step whose dt changes every time builds no more than
-        it did without the table.
-        """
-        key = float(dt).hex()
-        last = self.__dict__.get("_propagator")
-        if last is None or last[0] != key:
-            kx, ky = self.wavenumbers()
-            kmag = np.sqrt(kx * kx + ky * ky)
-            nz = kmag > 0.0
-            ksafe = np.where(nz, kmag, 1.0)
-            c = np.cos(kmag * dt)
-            s = np.sin(kmag * dt)
-            table = (np.where(nz, kx / ksafe, 0.0),
-                     np.where(nz, ky / ksafe, 0.0), c, 1j * s,
-                     np.where(nz, s / ksafe, dt),
-                     1j * np.where(nz, (1.0 - c) / ksafe, 0.0))
-            for a in table:
-                a.flags.writeable = False
-            last = (key, table)
-            object.__setattr__(self, "_propagator", last)  # a frozen class
-        return last[1]
+        return kx, ky, kx * kx + ky * ky
 
     def mesh(self):
         x = (np.arange(self.nx) + 0.0) * self.hx
@@ -198,14 +163,15 @@ def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
     constant current enters through the closed-form Duhamel term; the
     longitudinal electric part integrates dE/dt = -j exactly. Only 2.5d
     steps the TM triple (B1, B2, E3); in 2d it stays 0 and j3 is not read.
-    The per-mode factors come from ``Grid.propagator``, which the grid keeps
-    while dt is unchanged. Each component keeps its own ``fft2`` call: one
-    call on the stacked components has the same bits but was slower, and
-    its larger temporaries raised peak RSS.
+    The per-mode factors are built on each call from ``Grid.wavenumbers``.
+    Each component keeps its own ``fft2`` call: one call on the stacked
+    components has the same bits but was slower, and its larger temporaries
+    raised peak RSS.
 
-    A CFL-style precondition dt <= min(hx, hy) is enforced before
-    stepping (the propagator itself is unconditionally stable; the check
-    guards the particle coupling accuracy).
+    The propagator is stable for any dt. The step bound dt <= min(hx, hy)
+    of the particle coupling is checked where a dt enters the program:
+    ``pic.run`` checks the scenario's dt, and ``pic.RunHistory.load_npz``
+    the gaps between the stored times.
 
     The update is exact (and exactly energy conserving) on the subspace of
     fields with empty Nyquist rows. A self-conjugate Nyquist mode is a pure
@@ -217,11 +183,15 @@ def step_maxwell(fields: FieldState, j: np.ndarray, dt: float) -> FieldState:
     if np.shape(j) != (3, g.nx, g.ny):
         raise ValueError(f"current must have the field grid's shape "
                          f"{(3, g.nx, g.ny)}, got {np.shape(j)}")
-    h = min(g.hx, g.hy)
-    if dt > h * (1.0 + 1e-12):
-        raise ValueError(f"time step dt={dt} violates dt <= h = {h}")
-
-    k1, k2, c, isn, sk, ick = g.propagator(dt)
+    kx, ky = g.wavenumbers()
+    kmag = np.sqrt(kx * kx + ky * ky)
+    nz = kmag > 0.0
+    ksafe = np.where(nz, kmag, 1.0)
+    # the unit wavevector (0 at k = 0) and the rotation and Duhamel factors
+    k1, k2 = np.where(nz, kx / ksafe, 0.0), np.where(nz, ky / ksafe, 0.0)
+    c, s = np.cos(kmag * dt), np.sin(kmag * dt)
+    isn, sk = 1j * s, np.where(nz, s / ksafe, dt)
+    ick = 1j * np.where(nz, (1.0 - c) / ksafe, 0.0)
     E = np.zeros((3, g.nx, g.ny))
     B = np.zeros((3, g.nx, g.ny))
     b3 = _fft2(fields.B[2])

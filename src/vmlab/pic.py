@@ -69,9 +69,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 def finite_number(v) -> bool:
-    """An int or float, not a bool, and finite: a number in a JSON input."""
+    """An int or float, not a bool, within float range: a number in a JSON
+    input. An integer beyond float range is out of range; nothing raises."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def _int(v) -> bool:
@@ -88,7 +89,9 @@ _FLAG = (lambda v: isinstance(v, bool), "true or false")
 # (check, requirement) for each scenario value, by key path; every f0 and
 # fields0 member is optional, and these are all the members they may have
 _RULES = {
-    "grid_n": _POSITIVE_INT, "diagnostic_every": _POSITIVE_INT,
+    "grid_n": (lambda v: _int(v) and v > 0 and finite_number(v),
+               "a positive integer within float range"),
+    "diagnostic_every": _POSITIVE_INT,
     "n_particles": _COUNT, "seed": _COUNT, "n_tracers": _COUNT,
     "box": _POSITIVE, "dt": _POSITIVE, "t_final": _POSITIVE, "delta": _POSITIVE,
     "gauss_correction": _FLAG, "store_history": _FLAG,
@@ -116,6 +119,12 @@ _DEFAULTS = {
     "fields0.a3_amp": 0.0, "fields0.a3_sigma": 1.0,
     "fields0.e3_amp": 0.0, "fields0.e3_sigma": 1.0,
 }
+
+
+def _moment_columns(N: float, d_p: int) -> tuple[str, str]:
+    """The diagnostics columns of moment order N: the moment of p0^N f and
+    the field magnitude's L^(N + d_p) norm."""
+    return f"moment_{N:g}", f"k_l{N + d_p:g}"
 
 
 def _member(scn, key: str):
@@ -207,9 +216,9 @@ class Scenario:
                                  f"{self.grid_n!r}, got "
                                  f"{sig!r}{'' if given else ' (the default)'}")
         self.moment_orders = tuple(float(N) for N in self.moment_orders)
-        # the diagnostics columns of each order, named as _diag_row names them
-        names = [f"moment_{N:g}" for N in self.moment_orders]
-        names += [f"k_l{N + self.dim_p:g}" for N in self.moment_orders]
+        moments, norms = zip(*(_moment_columns(N, self.dim_p)
+                               for N in self.moment_orders))
+        names = moments + norms
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"moment_orders: must be orders with "
@@ -640,11 +649,13 @@ class RunHistory:
         versions wrote; a file that is not one, a missing, unreadable or
         misshapen key, a ``grid`` that is not two positive integers and two
         positive finite lengths, ``times`` that are not finite, strictly
-        increasing from 0, a non-finite ``E``, ``B``, ``part_x`` or
-        ``part_p`` (naming the first bad step) or a ``w`` that is not
-        positive and finite raise ValueError naming path and key, as does
-        every check of the class itself. ``pic.run``'s own history is not
-        checked: its steps already passed the loop's finiteness check."""
+        increasing from 0, or that step by more than ``pic.run``'s bound
+        min(hx, hy) (the grid re-run steps by their gaps), a non-finite
+        ``E``, ``B``, ``part_x`` or ``part_p`` (naming the first bad step)
+        or a ``w`` that is not positive and finite raise ValueError naming
+        path and key, as does every check of the class itself. ``pic.run``'s
+        own history is not checked: its steps already passed the loop's
+        finiteness check."""
         a, key = {}, None
         try:
             with np.load(path) as z:
@@ -679,6 +690,15 @@ class RunHistory:
                    else "no times")
             raise ValueError(f"{path}: times: must be finite, strictly "
                              f"increasing from 0, got {got}")
+        # with pic.run's slack on dt, and the rounding of the stored times
+        bound = min(grid.hx, grid.hy)
+        bad = np.flatnonzero(np.diff(t) > bound * (1.0 + 1e-12)
+                             + np.spacing(t[1:]))
+        if bad.size:
+            k = bad[0] + 1
+            raise ValueError(f"{path}: times: must be at most min(hx, hy) "
+                             f"= {bound!r} apart, got times[{k}] - "
+                             f"times[{k - 1}] = {float(t[k] - t[k - 1])!r}")
         # one step at a time, so the mask is one step's size
         for key in ("E", "B", "part_x", "part_p"):
             for k, step in enumerate(getattr(h, key)):
@@ -719,12 +739,13 @@ def _diag_row(t, fields, ens, rho, scn, tracer_inv_drift) -> list:
            ("k_linf", kmax)]
     for N in scn.moment_orders:
         q = N + scn.dim_p
-        row.append((f"moment_{N:g}", moment(ens, N)))
+        mom_name, norm_name = _moment_columns(N, scn.dim_p)
+        row.append((mom_name, moment(ens, N)))
         lq = 0.0
         if kmax:  # scaled by k_linf, so that no power underflows or overflows
             lq = kmax * float((np.sum((kmag / kmax) ** q) * fields.grid.cell)
                               ** (1.0 / q))
-        row.append((f"k_l{q:g}", lq))
+        row.append((norm_name, lq))
     row.append(("tracer_invariant_drift", tracer_inv_drift))
     line_bound = 0.0
     if scn.dim_p == 3:
@@ -733,9 +754,8 @@ def _diag_row(t, fields, ens, rho, scn, tracer_inv_drift) -> list:
         nb = 16
         ix = np.minimum((ens.x[:, 0] / scn.box * nb).astype(int), nb - 1)
         iy = np.minimum((ens.x[:, 1] / scn.box * nb).astype(int), nb - 1)
-        acc = np.zeros((nb, nb))
         p3w = ens.w * (1.0 + ens.p[:, 2] ** 2) ** ((5.0 + scn.delta) / 2.0)
-        np.add.at(acc, (ix, iy), p3w)
+        acc = np.bincount(ix * nb + iy, weights=p3w, minlength=nb * nb)
         cell = (scn.box / nb) ** 2
         line_bound = float(acc.max()) / cell
     row.append(("p3_line_bound", line_bound))
@@ -880,8 +900,9 @@ def moment_inequality_monitor(result: RunResult) -> dict:
     d_p = scn.dim_p
     s = result.series
     t = s.column("time")
-    mom = s.column(f"moment_{N:g}") ** (1.0 / (N + d_p))
-    knorm = s.column(f"k_l{N + d_p:g}")
+    mom_name, norm_name = _moment_columns(N, d_p)
+    mom = s.column(mom_name) ** (1.0 / (N + d_p))
+    knorm = s.column(norm_name)
     if len(t) < 2:
         return {"N": N, "constant": 0.0, "max_deriv": 0.0}
     dmom = np.diff(mom) / np.diff(t)

@@ -4,12 +4,14 @@ Each test here pins one headline guarantee of the package: exact algebraic
 identities, geometry bounds with their explicit constants, quadrature
 oracles, exact exponent arithmetic, conservation on the golden scenarios,
 convergence orders, representation agreement, regression-pinned singular
-integral constants, and bytewise determinism.  The golden runs are the
+integral constants, bytewise determinism, and the cold-plasma dispersion of
+the coupled particle-field loop.  The golden runs are the
 ``vmlab simulate`` runs that the golden digests hash (the session's
 ``golden_outputs``, ``tests/conftest.py``), read back from their outputs, so
 each golden scenario is simulated once per session.
 """
 
+import functools
 import json
 import math
 import time
@@ -21,8 +23,10 @@ import pytest
 
 from vmlab import characteristics as chars
 from vmlab import inequalities as ineq
+from vmlab import maxwell as mx
 from vmlab import pic
 from vmlab import retarded as rt
+from vmlab.phase import ParticleEnsemble
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -401,3 +405,86 @@ class TestDeterminism:
         res1.series.save_csv(f1)
         res2.series.save_csv(f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# 13. cold-plasma dispersion of the coupled particle-field loop
+# --------------------------------------------------------------------------
+
+_COLD_BOX, _COLD_GRID, _COLD_LATTICE, _COLD_AMP = 20.0, 32, 64, 1e-3
+_COLD_K = 2.0 * math.pi / _COLD_BOX      # the box's longest wave along x1
+
+
+@functools.cache      # the order test reuses the dt 0.1 run of its case
+def _cold_frequency(mode: str, wave: str, gauss: bool, dt: float) -> float:
+    """The frequency that ``pic.run`` gives the k = 2 pi / box mode of a
+    cold plasma with omega_p = 1.
+
+    ``pic.sample_ensemble`` and ``pic.initial_fields`` are patched to start
+    a 64 x 64 lattice of particles at rest, of total weight box^2 / (4 pi)
+    (so the mean charge density, omega_p^2, is 1), with the Poisson field
+    of its charge. The Langmuir wave displaces the lattice by
+    1e-3 sin(k x1) and is read on E1; the light wave adds
+    E2 = 1e-3 sin(k x1) and is read on E2. The frequency is pi times the
+    half periods between the first and the last zero crossing of the
+    field's sin(k x1) coefficient over t in [0, 12], each crossing
+    interpolated linearly between stored steps.
+    """
+    s = (np.arange(_COLD_LATTICE) + 0.5) * (_COLD_BOX / _COLD_LATTICE)
+    x = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    if wave == "langmuir":
+        x[:, 0] += _COLD_AMP * np.sin(_COLD_K * x[:, 0])
+    scn = pic.Scenario(mode=mode, grid_n=_COLD_GRID, box=_COLD_BOX, dt=dt,
+                       t_final=12.0, seed=0, n_particles=len(x),
+                       f0={"mass": _COLD_BOX ** 2 / (4.0 * math.pi)},
+                       fields0={}, gauss_correction=gauss,
+                       diagnostic_every=10 ** 6, store_history=True)
+    sine = np.sin(_COLD_K * scn.grid.mesh()[0])
+
+    def lattice(scn):
+        return ParticleEnsemble(x=x.copy(), p=np.zeros((len(x), scn.dim_p)),
+                                w=np.full(len(x), scn.f0["mass"] / len(x)),
+                                box=np.array([_COLD_BOX, _COLD_BOX]))
+
+    def fields(scn, rho):
+        f = mx.FieldState.zeros(mode, scn.grid)
+        f.E += mx.poisson_efield(rho, scn.grid)
+        if wave == "light":
+            f.E[1] += _COLD_AMP * sine
+        return f, None if mode == "2d" else mx.gauge_a3(f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pic, "sample_ensemble", lattice)
+        mp.setattr(pic, "initial_fields", fields)
+        history = pic.run(scn).history
+    coef = np.einsum("kij,ij->k", history.E[:, 0 if wave == "langmuir" else 1],
+                     sine)
+    t = history.times
+    i = np.flatnonzero(np.sign(coef[1:]) != np.sign(coef[:-1]))
+    cross = t[i] - coef[i] * (t[i + 1] - t[i]) / (coef[i + 1] - coef[i])
+    return math.pi * (len(cross) - 1) / (cross[-1] - cross[0])
+
+
+def _cold_theory(mode: str, wave: str) -> float:
+    """omega^2 = omega_p^2 S^a, plus k^2 for the light wave, with the grid's
+    shape factor S = sinc(k h / 2) and h = box / grid_n: a = 4 for the CIC
+    deposit and CIC gather of planar momenta, a = 5 for the CIC deposit and
+    the TSC gather of 3-momenta (Birdsall & Langdon 1991, ch. 8)."""
+    u = 0.5 * _COLD_K * _COLD_BOX / _COLD_GRID
+    w2 = (math.sin(u) / u) ** (4 if mode == "2d" else 5)
+    return math.sqrt(w2 + (_COLD_K ** 2 if wave == "light" else 0.0))
+
+
+class TestColdPlasmaDispersion:
+    @pytest.mark.parametrize("mode,wave,gauss", [
+        ("2d", "langmuir", True), ("2.5d", "langmuir", True),
+        ("2d", "langmuir", False), ("2.5d", "langmuir", False),
+        ("2d", "light", True), ("2.5d", "light", True)])
+    def test_frequency_is_the_shape_factor_theory(self, mode, wave, gauss):
+        got = _cold_frequency(mode, wave, gauss, 0.1)
+        assert abs(got - _cold_theory(mode, wave)) < 1e-3, got
+
+    def test_frequency_error_is_second_order_in_dt(self):
+        w = [_cold_frequency("2d", "langmuir", True, dt)
+             for dt in (0.2, 0.1, 0.05)]
+        assert (w[0] - w[1]) / (w[1] - w[2]) == pytest.approx(4.0, abs=0.5), w

@@ -304,6 +304,9 @@ class TestFieldsCompare:
         ({"x": [10.0, 10.0]}, "t"),
         ({"t": 0.3, "x": [10.0, 10.0, 1.0]}, "x"),
         ({"t": "0.3", "x": [10.0, 10.0]}, "t"),
+        # integers beyond float range, once an OverflowError
+        ({"t": 10 ** 400, "x": [10.0, 10.0]}, "t"),
+        ({"t": 0.3, "x": [10 ** 400, 10.0]}, "x"),
     ])
     def test_bad_probe_record_is_usage_error(self, history_run, tmp_path,
                                              monkeypatch, capsys, record, key):
@@ -374,6 +377,12 @@ class TestFieldsCompare:
          _TIMES + ", got times[0] = 0.3"),
         (lambda a: a.update(times=a["times"] + 0.05),
          _TIMES + ", got times[0] = 0.05"),
+        # a gap above the cell size 20 / 24 once passed the half-step check
+        # of the grid re-run, or failed there naming neither file nor key
+        (lambda a: a.update(times=np.array([0.0, 0.5, 1.0, 1.9, 2.0, 2.1,
+                                            3.0])),
+         "times: must be at most min(hx, hy) = 0.8333333333333334 apart, "
+         "got times[3] - times[2] = 0.8999999999999999"),
         # out-of-plane fields at a late step were once accepted silently
         (_set("E", (5, 2, 3, 4), 1e-3), "E: " + _PLANAR.format("E3", 5)),
         (_set("E", (0, 2, 0, 0), -1.0), "E: " + _PLANAR.format("E3", 0)),
@@ -390,7 +399,7 @@ class TestFieldsCompare:
         (_set("w", 1499, math.inf), _WEIGHT + "w[1499] = inf"),
     ], ids=["junk", "no_part_p", "part_p_3d", "grid_fraction", "lx_zero",
             "lx_nan", "lx_negative", "times_nan", "times_descending",
-            "times_late_start", "e3_late", "e3_first", "b2_last",
+            "times_late_start", "times_gap", "e3_late", "e3_first", "b2_last",
             "part_x_nan", "part_p_nan", "e_inf", "b_minus_inf", "w_nan",
             "w_negative", "w_inf"])
     def test_malformed_history_is_usage_error(self, history_run, tmp_path,
@@ -599,11 +608,17 @@ class TestScenarioBoundary:
         ("golden_2d", "moment_orders", [2, 2], cli.EXIT_USAGE),
         ("golden_2d", "moment_orders", [2.5, 2.5000001], cli.EXIT_USAGE),
         ("golden_2d", "moment_orders", [0.123451, 0.123452], cli.EXIT_USAGE),
+        # JSON integers beyond float range, once an OverflowError
+        *(pytest.param("golden_2d", key, value, cli.EXIT_USAGE,
+                       id=f"golden_2d-{key}-1e400")
+          for key, value in [("box", 10 ** 400), ("grid_n", 10 ** 400),
+                             ("dt", 10 ** 400),
+                             ("moment_orders", [2, 10 ** 400])]),
     ])
     def test_found_inputs(self, name, key, value, code):
-        # inputs that ended with a RuntimeWarning raised deep in the run,
-        # sampled for a long time or wrote a column name twice: each exits
-        # with one stderr line
+        # inputs that ended with a RuntimeWarning raised deep in the run or
+        # an OverflowError, sampled for a long time or wrote a column name
+        # twice: each exits with one stderr line
         got, err = _simulate_mutated(SCENARIOS_DIR / f"{name}.json", key,
                                      value)
         assert got == code

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vmlab import maxwell as mx
 from vmlab import pic
+from vmlab import retarded as rt
 from vmlab.phase import embed3
 
 
@@ -67,9 +68,18 @@ class TestGrid:
         # k2 vanishes on the mean and the self-conjugate corners only
         assert sorted(zip(*np.nonzero(k2 == 0))) == [(0, 0), (0, 4), (4, 0),
                                                      (4, 4)]
-        # one read-only table per grid
-        assert g.k_table is g.k_table
-        assert not any(a.flags.writeable for a in g.k_table)
+
+    def test_a_grid_holds_only_its_sizes(self):
+        # no step or transform leaves a table on the grid it reads: not a
+        # run, nor the grid re-run of the retarded reconstruction
+        scn = pic.Scenario(mode="2d", grid_n=16, box=10.0, dt=0.1,
+                           t_final=0.3, seed=0, n_particles=200, f0={},
+                           fields0={"poisson": True}, store_history=True)
+        res = pic.run(scn)
+        sizes = {"nx": 16, "ny": 16, "lx": 10.0, "ly": 10.0}
+        assert vars(res.fields.grid) == sizes
+        rt.field_from_representation(res.history, 0.3, [[5.0, 5.0]])
+        assert vars(res.history.grid) == sizes
 
 
 class TestFieldState:
@@ -132,12 +142,6 @@ class TestPropagator:
         assert np.allclose(out.E[0], -0.5)
         assert np.allclose(out.B, 0.0)
 
-    def test_cfl_guard(self):
-        g = _grid(16, 1.0)   # h = 1/16
-        st_ = mx.FieldState.zeros("2d", g)
-        with pytest.raises(ValueError):
-            mx.step_maxwell(st_, _no_current(g), 0.5)
-
     def test_current_off_the_field_grid_rejected(self):
         g = _grid(16)
         st_ = mx.FieldState.zeros("2d", g)
@@ -193,7 +197,7 @@ class TestPropagator:
     @pytest.mark.parametrize("mode", ["2d", "2.5d"])
     def test_factor_table_follows_dt(self, mode):
         # one grid, alternating dt: each step has the bytes of the same
-        # step on a fresh grid, which builds its factor table anew
+        # step on a fresh grid
         g = _grid(16)
         cur = _band_limited_state(g, mode, seed=10)
         j = np.random.default_rng(10).standard_normal((3, g.nx, g.ny))
@@ -204,25 +208,6 @@ class TestPropagator:
             assert cur.grid is g
             assert cur.E.tobytes() == want.E.tobytes()
             assert cur.B.tobytes() == want.B.tobytes()
-
-    def test_factor_table_holds_the_last_dt_only(self):
-        # retarded's field re-run steps by halves of the gaps between the
-        # stored times k dt, which differ in their last bits: the grid
-        # keeps one read-only table, that of the latest dt
-        g = _grid(16)
-        halves = 0.5 * np.diff(np.arange(7) * 0.04)
-        assert len(set(halves.tolist())) > 1
-        cur = _band_limited_state(g, "2d", seed=11)
-        for half in halves:
-            cur = mx.step_maxwell(cur, _no_current(g), half)
-            key, table = g._propagator
-            assert key == float(half).hex()
-            assert g.propagator(half) is table
-        own = {f.name for f in dataclasses.fields(g)} | {"k_table"}
-        assert set(vars(g)) - own == {"_propagator"}
-        assert not any(a.flags.writeable for a in table)
-        with pytest.raises(ValueError, match="read-only"):
-            table[2][0, 0] = 0.0
 
 
 class TestConstraints:
